@@ -26,6 +26,17 @@ from .shifting import Mode, count_elements, plan_conventional, plan_proposed, wr
 _CIPHERS = ("trivium", "grain128a")
 
 
+def _count(text: str) -> int:
+    """argparse type for a non-negative count."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _mode(args) -> Mode:
     return Mode(args.mode)
 
@@ -150,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--key", required=True, help="hex key (trivium: 20 chars, grain128a: 32)")
         p.add_argument("--iv", required=True, help="hex IV (trivium: 20 chars, grain128a: 24)")
         if n_flag:
-            p.add_argument("-n", type=int, required=True, help="number of keystream bits")
+            p.add_argument("-n", type=_count, required=True, help="number of keystream bits")
         p.add_argument("--report", choices=["json", "table"], help="print a cost report")
         p.add_argument("--report-out", help="write the cost report here instead of stdout")
 
@@ -180,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cipher", choices=_CIPHERS)
     p.add_argument("--register", choices=list(_REGISTERS), required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.PROPOSED.value)
-    p.add_argument("--cycles", type=int, default=1)
+    p.add_argument("--cycles", type=_count, default=1)
     p.add_argument("--out", help="write per-transfer CSV here")
     p.set_defaults(fn=cmd_plan)
 
@@ -197,10 +208,7 @@ def main(argv=None) -> int:
             parser.error("stego extract requires --out")
     try:
         return args.fn(args)
-    except (InputError, stego.CapacityError, stego.FormatError, stego.CorruptPayloadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (InputError, stego.CapacityError, stego.FormatError, stego.CorruptPayloadError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 CellId = int
 
@@ -114,17 +114,8 @@ class ExecStats:
     """Step and gate-instance accounting for a run."""
 
     steps: int = 0
-    #: (gate kind name, tag) -> instance count; filled by the gate layer.
+    #: (GateKind, tag) -> instance count; filled from the cycle programs.
     per_gate_counts: dict = field(default_factory=dict)
-
-    def add_gate(self, kind_name: str, tag: str | None = None, n: int = 1) -> None:
-        key = (kind_name, tag)
-        self.per_gate_counts[key] = self.per_gate_counts.get(key, 0) + n
-
-    def merge(self, other: "ExecStats") -> None:
-        self.steps += other.steps
-        for key, n in other.per_gate_counts.items():
-            self.per_gate_counts[key] = self.per_gate_counts.get(key, 0) + n
 
 
 TraceFn = Callable[[int, str, Optional[int], int, int], None]
@@ -133,31 +124,28 @@ TraceFn = Callable[[int, str, Optional[int], int, int], None]
 def execute(
     cells: list[int],
     full: int,
-    ops: Iterable[OpTuple],
+    ops: Sequence[OpTuple],
     trace: TraceFn | None = None,
     step_base: int = 0,
 ) -> int:
-    """Apply compact ops in place; returns the number of steps executed.
+    """Apply compact ops in place; returns the number of steps executed,
+    which is ``len(ops)``: every op is one pulse.
 
     The inner loop is the hot path for whole-cipher simulation; keep it
-    branch-light.
+    branch-light and free of per-pulse counting.
     """
     if trace is None:
-        n = 0
         for p, q in ops:
             cells[q] = 0 if p < 0 else ((cells[p] ^ full) | cells[q])
-            n += 1
-        return n
-    n = 0
-    for p, q in ops:
+        return len(ops)
+    for n, (p, q) in enumerate(ops):
         if p < 0:
             cells[q] = 0
             trace(step_base + n, "FALSE", None, q, cells[q])
         else:
             cells[q] = (cells[p] ^ full) | cells[q]
             trace(step_base + n, "IMPLY", p, q, cells[q])
-        n += 1
-    return n
+    return len(ops)
 
 
 def _validate_op(state: ArrayState, op: MicroOp) -> None:

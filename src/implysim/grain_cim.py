@@ -21,14 +21,12 @@ planner sees position 1 as cell 127 and position 128 as cell 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .engine import ExecStats, TraceFn, execute
 from .gates import GateKind
-from .programs import CycleProgram, ProgramBuilder
+from .programs import CipherSim, CycleProgram, ProgramBuilder
 from .reference import InputError
-from .shifting import Mode, RegisterLayout, plan_conventional, plan_proposed
+from .shifting import RegisterLayout
 
 PREINIT_CYCLES = 256
 
@@ -121,44 +119,15 @@ class _Pool:
             self.free.append(cell)
 
 
-@dataclass
-class _Phase:
-    stats: ExecStats
-    cycles: int = 0
-
-
-class GrainSim:
+class GrainSim(CipherSim):
     """One Grain-128a instance on the array; lanes advance in lockstep."""
 
     CIPHER = "grain128a"
     INIT_CYCLES = PREINIT_CYCLES
     MEMRISTORS = {"preinit": MEMRISTORS_PREINIT, "keystream": MEMRISTORS_KEYSTREAM}
-
-    def __init__(
-        self,
-        key: Sequence[int],
-        iv: Sequence[int],
-        mode: Mode = Mode.PROPOSED,
-        width: int = 1,
-        trace: TraceFn | None = None,
-    ):
-        self.mode = mode
-        self.width = width
-        self.full = (1 << width) - 1
-        self.cells = load_key_iv(key, iv, width)
-        self.cycle = 0
-        self.trace = trace
-        planner = plan_proposed if mode is Mode.PROPOSED else plan_conventional
-        self.plans = {name: planner(LAYOUTS[name], 4 * PREINIT_CYCLES) for name in LAYOUTS}
-        self.init = _Phase(ExecStats())
-        self.keystream_phase = _Phase(ExecStats())
-        self._cache: dict = {}
-
-    @property
-    def phase(self) -> str:
-        return "init" if self.cycle < PREINIT_CYCLES else "keystream"
-
-    # --- cycle program -----------------------------------------------------
+    LAYOUTS = LAYOUTS
+    OUT = OUT
+    load_key_iv = staticmethod(load_key_iv)
 
     def _xor_fold(self, pb, pool, term, acc):
         """acc' = term XOR acc, destroying only the old accumulator."""
@@ -185,7 +154,7 @@ class GrainSim:
         pool.release(acc, v, wy)
         return out
 
-    def _build_cycle(self, preinit: bool, rows) -> CycleProgram:
+    def _build_cycle(self, keystream: bool, rows) -> CycleProgram:
         pb = ProgramBuilder()
         pool = _Pool(W)
         # h(x): four pairwise products plus one triple, XOR-chained
@@ -203,13 +172,13 @@ class GrainSim:
         bsum = self._xor_chain(pb, pool, [b(i) for i in _Y_NFSR_TERMS])
         # y = h XOR s93 XOR bsum, landing in the output cell when emitted
         y1 = self._xor_fold(pb, pool, s(93), h)
-        if preinit:
-            wx, wy = pool.alloc(), pool.alloc()
-            y = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y1, bsum), (wx, wy))
-            pool.release(y1, bsum, wy)
-        else:
+        if keystream:
             wy = pool.alloc()
             y = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y1, bsum), (OUT, wy))
+            pool.release(y1, bsum, wy)
+        else:
+            wx, wy = pool.alloc(), pool.alloc()
+            y = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y1, bsum), (wx, wy))
             pool.release(y1, bsum, wy)
         # LFSR feedback
         fl = self._xor_chain(pb, pool, [s(i) for i in _LFSR_TERMS])
@@ -217,7 +186,7 @@ class GrainSim:
         fn = self._xor_chain(pb, pool, [s(0), b(0)] + [b(i) for i in _NFSR_LINEAR])
         for kind, idx in _NFSR_PRODUCTS:
             fn = self._product_into(pb, pool, kind, tuple(b(i) for i in idx), fn)
-        if preinit:
+        if not keystream:
             # output feedback into both register inputs
             wx, wy = pool.alloc(), pool.alloc()
             fl2 = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y, fl), (wx, wy))
@@ -230,53 +199,3 @@ class GrainSim:
         pb.shift_register(_LFSR_CELLS, fl, rows[0], scratch, "LFSR")
         pb.shift_register(_NFSR_CELLS, fn, rows[1], scratch, "NFSR")
         return pb.compiled()
-
-    def _cycle_program(self, cycle: int) -> CycleProgram:
-        rows = (self.plans["LFSR"].elements(cycle), self.plans["NFSR"].elements(cycle))
-        key = (cycle <= PREINIT_CYCLES, rows)
-        prog = self._cache.get(key)
-        if prog is None:
-            prog = self._build_cycle(preinit=key[0], rows=rows)
-            self._cache[key] = prog
-        return prog
-
-    # --- execution ----------------------------------------------------------
-
-    def step_cycle(self) -> tuple[ExecStats, Optional[int]]:
-        self.cycle += 1
-        prog = self._cycle_program(self.cycle)
-        phase = self.init if self.cycle <= PREINIT_CYCLES else self.keystream_phase
-        base = self.init.stats.steps + self.keystream_phase.stats.steps
-        execute(self.cells, self.full, prog.ops, self.trace, base)
-        delta = ExecStats(prog.steps, {k: n for k, n in prog.census})
-        phase.stats.merge(delta)
-        phase.cycles += 1
-        if self.cycle > PREINIT_CYCLES:
-            return delta, self.cells[OUT]
-        return delta, None
-
-    def run_init(self) -> None:
-        while self.cycle < PREINIT_CYCLES:
-            self.step_cycle()
-
-    def keystream(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self.run_init()
-        out = []
-        for _ in range(n):
-            _, z = self.step_cycle()
-            out.append(z)
-        return out
-
-
-def keystream(
-    key: Sequence[int],
-    iv: Sequence[int],
-    n: int,
-    mode: Mode = Mode.PROPOSED,
-    trace: TraceFn | None = None,
-) -> tuple[list[int], "GrainSim"]:
-    sim = GrainSim(key, iv, mode, trace=trace)
-    bits = sim.keystream(n)
-    return bits, sim

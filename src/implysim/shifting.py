@@ -153,6 +153,20 @@ def plan_proposed(layout: RegisterLayout, cycles: int) -> ShiftPlan:
     return _plan(layout, cycles, proposed=True)
 
 
+def plan_to_fixed_point(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
+    """The mode's plan, long enough that ``elements`` covers every cycle.
+
+    Position m's parity depends only on position m-1's, and the injected
+    value's parity is always 0, so position m's parity is constant after m
+    cycles: ``length + 1`` planned cycles always reach the fixed point.
+    """
+    horizon = layout.length + 1
+    plan = _plan(layout, horizon, proposed=mode is Mode.PROPOSED)
+    if plan.steady is None:
+        raise SchedulingError(f"register {layout.name}: no parity fixed point in {horizon} cycles")
+    return plan
+
+
 def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: Optional[int] = None) -> bool:
     """True iff every tap has parity 0 at the start of every cycle."""
     if layout.length != plan.length:

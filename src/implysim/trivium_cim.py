@@ -17,14 +17,12 @@ scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .engine import ExecStats, TraceFn, execute
 from .gates import GateKind
-from .programs import CycleProgram, ProgramBuilder
+from .programs import CipherSim, CycleProgram, ProgramBuilder
 from .reference import InputError
-from .shifting import Mode, RegisterLayout, plan_conventional, plan_proposed
+from .shifting import RegisterLayout
 
 INIT_CYCLES = 1152
 
@@ -84,47 +82,17 @@ def load_key_iv(key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[i
     return cells
 
 
-@dataclass
-class _Phase:
-    stats: ExecStats
-    cycles: int = 0
-
-
-class TriviumSim:
+class TriviumSim(CipherSim):
     """One Trivium instance on the array; lanes advance in lockstep."""
 
     CIPHER = "trivium"
     INIT_CYCLES = INIT_CYCLES
     MEMRISTORS = {"allocated": MEMRISTORS_ALLOCATED, "reported": MEMRISTORS_REPORTED}
+    LAYOUTS = LAYOUTS
+    OUT = OUT
+    load_key_iv = staticmethod(load_key_iv)
 
-    def __init__(
-        self,
-        key: Sequence[int],
-        iv: Sequence[int],
-        mode: Mode = Mode.PROPOSED,
-        width: int = 1,
-        trace: TraceFn | None = None,
-    ):
-        self.mode = mode
-        self.width = width
-        self.full = (1 << width) - 1
-        self.cells = load_key_iv(key, iv, width)
-        self.cycle = 0  # completed cycles, 1-based during execution
-        self.trace = trace
-        planner = plan_proposed if mode is Mode.PROPOSED else plan_conventional
-        # plans extend to any horizon once the parity fixed point is reached
-        self.plans = {name: planner(LAYOUTS[name], 4 * INIT_CYCLES) for name in LAYOUTS}
-        self.init = _Phase(ExecStats())
-        self.keystream_phase = _Phase(ExecStats())
-        self._cache: dict = {}
-
-    @property
-    def phase(self) -> str:
-        return "init" if self.cycle < INIT_CYCLES else "keystream"
-
-    # --- cycle program -----------------------------------------------------
-
-    def _build_cycle(self, emit_output: bool, rows) -> CycleProgram:
+    def _build_cycle(self, keystream: bool, rows) -> CycleProgram:
         pb = ProgramBuilder()
         s0, s1, s2, s3, s4 = S
         x = GateKind.XOR2_DESTRUCTIVE
@@ -141,7 +109,7 @@ class TriviumSim:
         pb.gate(x, (c(66), c(111)), (s2, s3))
         pb.gate(GateKind.AND2, (c(109), c(110)), (s3, s4))
         pb.gate(x, (s2, s4), (c(111), s3))
-        if emit_output:
+        if keystream:
             # z = tA ^ tB ^ tC, finishing in the output cell; must run before
             # the input XORs reuse s0..s2
             pb.gate(x, (s0, s1), (s3, s4))
@@ -155,57 +123,3 @@ class TriviumSim:
         pb.shift_register(_B_CELLS, s1, rows[1], s4, "B")
         pb.shift_register(_C_CELLS, s2, rows[2], s4, "C")
         return pb.compiled()
-
-    def _cycle_program(self, cycle: int) -> CycleProgram:
-        rows = tuple(self.plans[name].elements(cycle) for name in ("A", "B", "C"))
-        key = (cycle > INIT_CYCLES, rows)
-        prog = self._cache.get(key)
-        if prog is None:
-            prog = self._build_cycle(emit_output=key[0], rows=rows)
-            self._cache[key] = prog
-        return prog
-
-    # --- execution ----------------------------------------------------------
-
-    def step_cycle(self) -> tuple[ExecStats, Optional[int]]:
-        """Run one full cycle; returns its stats and, in the keystream
-        phase, the output-cell mask."""
-        self.cycle += 1
-        prog = self._cycle_program(self.cycle)
-        phase = self.init if self.cycle <= INIT_CYCLES else self.keystream_phase
-        base = self.init.stats.steps + self.keystream_phase.stats.steps
-        execute(self.cells, self.full, prog.ops, self.trace, base)
-        delta = ExecStats(prog.steps, {k: n for k, n in prog.census})
-        phase.stats.merge(delta)
-        phase.cycles += 1
-        if self.cycle > INIT_CYCLES:
-            return delta, self.cells[OUT]
-        return delta, None
-
-    def run_init(self) -> None:
-        while self.cycle < INIT_CYCLES:
-            self.step_cycle()
-
-    def keystream(self, n: int) -> list[int]:
-        """n keystream masks (bits when width == 1) after initialization."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        self.run_init()
-        out = []
-        for _ in range(n):
-            _, z = self.step_cycle()
-            out.append(z)
-        return out
-
-
-def keystream(
-    key: Sequence[int],
-    iv: Sequence[int],
-    n: int,
-    mode: Mode = Mode.PROPOSED,
-    trace: TraceFn | None = None,
-) -> tuple[list[int], "TriviumSim"]:
-    """Initialize, generate n bits, and return them with the finished sim."""
-    sim = TriviumSim(key, iv, mode, trace=trace)
-    bits = sim.keystream(n)
-    return bits, sim

@@ -193,3 +193,25 @@ def test_plan_grain_nfsr_steady_and_conventional(capsys):
 def test_plan_register_cipher_mismatch(capsys):
     rc = main(["plan", "--cipher", "trivium", "--register", "NFSR", "--cycles", "1"])
     assert rc == 2
+
+
+def test_negative_keystream_length_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["keystream", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T, "-n", "-1"])
+    assert exc.value.code == 2
+    assert "error: argument -n: must be >= 0" in capsys.readouterr().err
+
+
+def test_negative_plan_cycles_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--register", "A", "--cycles", "-3"])
+    assert exc.value.code == 2
+    assert "error: argument --cycles: must be >= 0" in capsys.readouterr().err
+
+
+def test_crypt_input_directory_is_os_error(tmp_path, capsys):
+    rc = main(["crypt", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
+               "--in", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err

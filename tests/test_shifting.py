@@ -8,11 +8,13 @@ from implysim.engine import ArrayState, execute
 from implysim.programs import ProgramBuilder
 from implysim.shifting import (
     Element,
+    Mode,
     RegisterLayout,
     apply_cycle,
     count_elements,
     plan_conventional,
     plan_proposed,
+    plan_to_fixed_point,
     verify_polarity,
     write_csv,
 )
@@ -246,3 +248,17 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
             assert state.bit(pos - 1) == expected
             if pos in layout.taps:
                 assert parity[pos] == 0
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "layout", [*trivium_cim.LAYOUTS.values(), *grain_cim.LAYOUTS.values()], ids=lambda l: l.name
+)
+def test_plan_to_fixed_point_within_register_length(layout, mode):
+    plan = plan_to_fixed_point(layout, mode)
+    assert plan.steady is not None
+    assert len(plan.prefix) <= layout.length
+    # the same rows as a plan over a horizon far past the fixed point
+    planner = plan_proposed if mode is Mode.PROPOSED else plan_conventional
+    long = planner(layout, 4 * layout.length)
+    assert (plan.prefix, plan.steady) == (long.prefix, long.steady)

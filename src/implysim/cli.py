@@ -8,6 +8,9 @@ always pack LSB-first.  Message bytes embed MSB-first per byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -47,10 +50,26 @@ def _key_iv_bits(cipher: str, key_hex: str, iv_hex: str):
     return grain_key_bits(key_hex, 16, "key"), grain_key_bits(iv_hex, 12, "iv")
 
 
-def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode, trace=None):
+def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode):
     key, iv = _key_iv_bits(cipher, key_hex, iv_hex)
     cls = trivium_cim.TriviumSim if cipher == "trivium" else grain_cim.GrainSim
-    return cls(key, iv, mode, trace=trace)
+    return cls(key, iv, mode)
+
+
+def _check_output(*paths: str | None) -> None:
+    """Fail before the keystream runs if an output path cannot be written.
+
+    Nothing is opened here: outputs are written only once the work has
+    succeeded, so a failed run leaves an existing file as it was.
+    """
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target.parent))
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _emit_report(sim, fmt: str, out_path: str | None) -> None:
@@ -63,17 +82,13 @@ def _emit_report(sim, fmt: str, out_path: str | None) -> None:
 
 
 def cmd_keystream(args) -> int:
-    trace_file = None
-    trace = None
-    if args.trace:
-        trace_file = open(args.trace, "w")
-        trace = CsvTrace(trace_file)
-    try:
-        sim = _make_sim(args.cipher, args.key, args.iv, _mode(args), trace)
-        bits = sim.keystream(args.n)
-    finally:
+    sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+    _check_output(args.out, args.report_out)
+    # the trace file is opened only once the key, IV and outputs have passed
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
         if trace_file:
-            trace_file.close()
+            sim.trace = CsvTrace(trace_file)
+        bits = sim.keystream(args.n)
     if args.format == "hex":
         text = bits_to_bytes_lsb_first(bits).hex()
     else:
@@ -91,6 +106,7 @@ def cmd_crypt(args) -> int:
     data = Path(args.infile).read_bytes()
     message = bytes_to_bits_msb_first(data)
     sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+    _check_output(args.out, args.report_out)
     ks = sim.keystream(len(message))
     out = bits_to_bytes_msb_first([m ^ k for m, k in zip(message, ks)])
     Path(args.out).write_bytes(out)
@@ -104,7 +120,9 @@ def cmd_stego(args) -> int:
         cover = stego.read_pgm(args.cover)
         data = Path(args.infile).read_bytes()
         message = bytes_to_bits_msb_first(data)
+        stego.check_capacity(cover, len(message))
         sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+        _check_output(args.stego)
         ks = sim.keystream(len(message))
         payload = stego.StegoPayload([m ^ k for m, k in zip(message, ks)])
         image = stego.embed_lsb(cover, payload)
@@ -114,6 +132,7 @@ def cmd_stego(args) -> int:
     image = stego.read_pgm(args.stego)
     payload = stego.extract_lsb(image)
     sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+    _check_output(args.out)
     ks = sim.keystream(len(payload.bits))
     plain = stego.StegoPayload([c ^ k for c, k in zip(payload.bits, ks)])
     Path(args.out).write_bytes(plain.to_bytes())

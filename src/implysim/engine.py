@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 CellId = int
 
-#: compact op encoding used by the fast executor: (p, q) with p == FALSE_P
+#: compact op encoding used by ``execute``: (p, q) with p == FALSE_P
 #: meaning FALSE(q).
 FALSE_P = -1
 OpTuple = tuple
@@ -131,8 +131,8 @@ def execute(
     """Apply compact ops in place; returns the number of steps executed,
     which is ``len(ops)``: every op is one pulse.
 
-    The inner loop is the hot path for whole-cipher simulation; keep it
-    branch-light and free of per-pulse counting.
+    This is the reference interpreter: cipher runs without a trace use the
+    gate kernels generated in ``gates``, which the tests compare against it.
     """
     if trace is None:
         for p, q in ops:

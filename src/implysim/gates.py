@@ -8,16 +8,22 @@ set (inverter 2 steps / 0.1291 nJ, buffer 4 / 0.269, 2:3:4-input AND
 
 Destructive templates overwrite one declared input; everything else is
 preserved, which the exhaustive ``truth_check`` verifies per kind.
+
+Each kind also gets a kernel, generated from its template when this module
+is imported: a loop over operand tuples whose body is the template written
+out one statement per pulse.  A cycle program runs its gates as runs of
+same-kind instances through these kernels; ``engine.execute`` remains the
+reference interpreter and the trace path.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
-from .engine import ArrayState, CellId, MicroOp, OperandError, false_op, imply_op, run_program
+from .engine import FALSE_P, ArrayState, CellId, MicroOp, OperandError, false_op, imply_op, run_program
 
 
 class GateKind(enum.Enum):
@@ -35,80 +41,6 @@ class GateKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GateMetrics:
-    steps: int
-    memristors: int
-    energy_nj: Optional[float]  # None for kinds outside the evaluated set
-
-    @property
-    def energy_e4(self) -> int:
-        """Energy in integer 1e-4 nJ units (exact accounting)."""
-        if self.energy_nj is None:
-            raise ValueError("no energy model for this gate kind")
-        return round(self.energy_nj * 10000)
-
-
-#: (steps, memristors, energy nJ) for the evaluated gate set; the three
-#: plain-identity gates (OR/NOR/NAND) are implementable but not part of the
-#: energy model because the ciphers never instantiate them.
-GATE_METRICS: dict[GateKind, GateMetrics] = {
-    GateKind.INVERTER: GateMetrics(2, 2, 0.1291),
-    GateKind.BUFFER: GateMetrics(4, 3, 0.269),
-    GateKind.AND2: GateMetrics(5, 4, 0.3833),
-    GateKind.AND3: GateMetrics(6, 5, 0.5025),
-    GateKind.AND4: GateMetrics(11, 6, 0.9131),
-    GateKind.XOR2_DESTRUCTIVE: GateMetrics(9, 4, 0.7426),
-    GateKind.XOR2_NONDESTRUCTIVE: GateMetrics(11, 5, 0.9146),
-    GateKind.XOR3: GateMetrics(20, 6, 1.711),
-    GateKind.OR2: GateMetrics(3, 3, None),
-    GateKind.NOR2: GateMetrics(5, 3, None),
-    GateKind.NAND2: GateMetrics(3, 3, None),
-}
-
-_ARITY = {
-    GateKind.INVERTER: 1,
-    GateKind.BUFFER: 1,
-    GateKind.AND2: 2,
-    GateKind.AND3: 3,
-    GateKind.AND4: 4,
-    GateKind.XOR2_DESTRUCTIVE: 2,
-    GateKind.XOR2_NONDESTRUCTIVE: 2,
-    GateKind.XOR3: 3,
-    GateKind.OR2: 2,
-    GateKind.NOR2: 2,
-    GateKind.NAND2: 2,
-}
-
-_WORKS = {
-    GateKind.INVERTER: 1,
-    GateKind.BUFFER: 2,
-    GateKind.AND2: 2,
-    GateKind.AND3: 2,
-    GateKind.AND4: 2,
-    GateKind.XOR2_DESTRUCTIVE: 2,
-    GateKind.XOR2_NONDESTRUCTIVE: 3,
-    GateKind.XOR3: 3,
-    GateKind.OR2: 1,
-    GateKind.NOR2: 1,
-    GateKind.NAND2: 1,
-}
-
-_FUNC = {
-    GateKind.INVERTER: lambda a: 1 - a,
-    GateKind.BUFFER: lambda a: a,
-    GateKind.AND2: lambda a, b: a & b,
-    GateKind.AND3: lambda a, b, c: a & b & c,
-    GateKind.AND4: lambda a, b, c, d: a & b & c & d,
-    GateKind.XOR2_DESTRUCTIVE: lambda a, b: a ^ b,
-    GateKind.XOR2_NONDESTRUCTIVE: lambda a, b: a ^ b,
-    GateKind.XOR3: lambda a, b, c: a ^ b ^ c,
-    GateKind.OR2: lambda a, b: a | b,
-    GateKind.NOR2: lambda a, b: 1 - (a | b),
-    GateKind.NAND2: lambda a, b: 1 - (a & b),
-}
-
-
-@dataclass(frozen=True)
 class MacroProgram:
     """A gate instance bound to concrete cells."""
 
@@ -120,25 +52,26 @@ class MacroProgram:
 
 
 def make_macro(kind: GateKind, inputs: Sequence[CellId], works: Sequence[CellId]) -> MacroProgram:
+    spec = GATE_METRICS[kind]
     inputs = tuple(inputs)
     works = tuple(works)
-    if len(inputs) != _ARITY[kind]:
-        raise OperandError(f"{kind.value} takes {_ARITY[kind]} inputs, got {len(inputs)}")
-    if len(works) != _WORKS[kind]:
-        raise OperandError(f"{kind.value} needs {_WORKS[kind]} work cells, got {len(works)}")
+    if len(inputs) != spec.arity:
+        raise OperandError(f"{kind.value} takes {spec.arity} inputs, got {len(inputs)}")
+    if len(works) != spec.works:
+        raise OperandError(f"{kind.value} needs {spec.works} work cells, got {len(works)}")
     cells = inputs + works
     if len(set(cells)) != len(cells):
         raise OperandError(f"{kind.value} operand/work cells must be distinct: {cells}")
-    output, destroyed = _TEMPLATE_META[kind](inputs, works)
+    output, destroyed = spec.meta(inputs, works)
     return MacroProgram(kind, inputs, works, output, destroyed)
 
 
 def expand(macro: MacroProgram) -> list[MicroOp]:
     """Expand to the exact micro-op sequence; length equals the declared steps."""
-    return _TEMPLATES[macro.kind](macro.inputs, macro.works)
+    return GATE_METRICS[macro.kind].template(macro.inputs, macro.works)
 
 
-def gate_metrics(kind: GateKind) -> GateMetrics:
+def gate_metrics(kind: GateKind) -> GateSpec:
     return GATE_METRICS[kind]
 
 
@@ -258,34 +191,82 @@ def _t_nand2(inp, wk):
     return [false_op(w), imply_op(q, w), imply_op(p, w)]
 
 
-_TEMPLATES = {
-    GateKind.INVERTER: _t_inverter,
-    GateKind.BUFFER: _t_buffer,
-    GateKind.AND2: _t_and2,
-    GateKind.AND3: _t_and3,
-    GateKind.AND4: _t_and4,
-    GateKind.XOR2_DESTRUCTIVE: _t_xor2_destructive,
-    GateKind.XOR2_NONDESTRUCTIVE: _t_xor2_nondestructive,
-    GateKind.XOR3: _t_xor3,
-    GateKind.OR2: _t_or2,
-    GateKind.NOR2: _t_nor2,
-    GateKind.NAND2: _t_nand2,
+def _kernel(name: str, n_cells: int, pulses: tuple) -> Callable:
+    """Generate ``kernel(c, f, operands)``: for each operand tuple, in order,
+    one cell update per pulse of the template, in template order."""
+    x = [f"x{i}" for i in range(n_cells)]
+    body = "".join(
+        f"        c[{x[q]}] = 0\n" if p == FALSE_P else f"        c[{x[q]}] = (c[{x[p]}] ^ f) | c[{x[q]}]\n"
+        for p, q in pulses
+    )
+    source = f"def {name}(c, f, operands):\n    for {', '.join(x)}, in operands:\n{body}"
+    namespace: dict = {}
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """One gate kind: operand counts, Boolean function, micro-op template,
+    output and destroyed cells, evaluated costs, and its kernel."""
+
+    arity: int
+    works: int
+    func: Callable[..., int]
+    template: Callable[[tuple, tuple], list[MicroOp]]
+    meta: Callable[[tuple, tuple], tuple]  # (inputs, works) -> (output, destroyed)
+    steps: int
+    memristors: int
+    energy_nj: Optional[float]  # None for kinds outside the evaluated set
+    #: the template as (p, q) op tuples over operand positions, inputs first
+    pulses: tuple = field(init=False, repr=False)
+    #: ``kernel(cells, full, operands)`` runs the template once per operand
+    #: tuple (inputs then works), in order, updating ``cells`` in place
+    kernel: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.arity + self.works
+        ops = self.template(tuple(range(self.arity)), tuple(range(self.arity, n)))
+        pulses = tuple(op.as_tuple() for op in ops)
+        object.__setattr__(self, "pulses", pulses)
+        object.__setattr__(self, "kernel", _kernel(self.template.__name__[3:] + "_kernel", n, pulses))
+
+    @property
+    def energy_e4(self) -> int:
+        """Energy in integer 1e-4 nJ units (exact accounting)."""
+        if self.energy_nj is None:
+            raise ValueError("no energy model for this gate kind")
+        return round(self.energy_nj * 10000)
+
+    def ops(self, operands: tuple) -> list:
+        """The (p, q) op tuples of one instance on ``operands``."""
+        return [(FALSE_P if p == FALSE_P else operands[p], operands[q]) for p, q in self.pulses]
+
+
+#: one row per kind: arity, work cells, function, template, (output,
+#: destroyed), then (steps, memristors, energy nJ) of the evaluated gate set.
+#: The three plain-identity gates (OR/NOR/NAND) are implementable but have
+#: no energy model because the ciphers never instantiate them.
+GATE_METRICS: dict[GateKind, GateSpec] = {
+    GateKind.INVERTER: GateSpec(1, 1, lambda a: 1 - a, _t_inverter, lambda i, w: (w[0], ()), 2, 2, 0.1291),
+    GateKind.BUFFER: GateSpec(1, 2, lambda a: a, _t_buffer, lambda i, w: (w[1], ()), 4, 3, 0.269),
+    GateKind.AND2: GateSpec(2, 2, lambda a, b: a & b, _t_and2, lambda i, w: (w[1], ()), 5, 4, 0.3833),
+    GateKind.AND3: GateSpec(3, 2, lambda a, b, c: a & b & c, _t_and3, lambda i, w: (w[1], ()), 6, 5, 0.5025),
+    GateKind.AND4: GateSpec(
+        4, 2, lambda a, b, c, d: a & b & c & d, _t_and4, lambda i, w: (w[1], ()), 11, 6, 0.9131
+    ),
+    GateKind.XOR2_DESTRUCTIVE: GateSpec(
+        2, 2, lambda a, b: a ^ b, _t_xor2_destructive, lambda i, w: (w[0], (i[1],)), 9, 4, 0.7426
+    ),
+    GateKind.XOR2_NONDESTRUCTIVE: GateSpec(
+        2, 3, lambda a, b: a ^ b, _t_xor2_nondestructive, lambda i, w: (w[0], ()), 11, 5, 0.9146
+    ),
+    GateKind.XOR3: GateSpec(3, 3, lambda a, b, c: a ^ b ^ c, _t_xor3, lambda i, w: (w[1], ()), 20, 6, 1.711),
+    GateKind.OR2: GateSpec(2, 1, lambda a, b: a | b, _t_or2, lambda i, w: (i[1], (i[1],)), 3, 3, None),
+    GateKind.NOR2: GateSpec(2, 1, lambda a, b: 1 - (a | b), _t_nor2, lambda i, w: (w[0], (i[1],)), 5, 3, None),
+    GateKind.NAND2: GateSpec(2, 1, lambda a, b: 1 - (a & b), _t_nand2, lambda i, w: (w[0], ()), 3, 3, None),
 }
 
-# output cell and destroyed cells per template, as (inputs, works) -> (out, destroyed)
-_TEMPLATE_META = {
-    GateKind.INVERTER: lambda i, w: (w[0], ()),
-    GateKind.BUFFER: lambda i, w: (w[1], ()),
-    GateKind.AND2: lambda i, w: (w[1], ()),
-    GateKind.AND3: lambda i, w: (w[1], ()),
-    GateKind.AND4: lambda i, w: (w[1], ()),
-    GateKind.XOR2_DESTRUCTIVE: lambda i, w: (w[0], (i[1],)),
-    GateKind.XOR2_NONDESTRUCTIVE: lambda i, w: (w[0], ()),
-    GateKind.XOR3: lambda i, w: (w[1], ()),
-    GateKind.OR2: lambda i, w: (i[1], (i[1],)),
-    GateKind.NOR2: lambda i, w: (w[0], (i[1],)),
-    GateKind.NAND2: lambda i, w: (w[0], ()),
-}
 
 
 def touched_cells(macro: MacroProgram) -> set[CellId]:
@@ -302,8 +283,9 @@ def truth_check(kind: GateKind) -> bool:
 
     Also checks that every input cell not declared destructive is preserved.
     """
-    arity = _ARITY[kind]
-    n_cells = arity + _WORKS[kind]
+    spec = GATE_METRICS[kind]
+    arity = spec.arity
+    n_cells = arity + spec.works
     inputs = tuple(range(arity))
     works = tuple(range(arity, n_cells))
     macro = make_macro(kind, inputs, works)
@@ -313,7 +295,7 @@ def truth_check(kind: GateKind) -> bool:
         for cell, v in zip(inputs, values):
             state.cells[cell] = v
         out, _ = run_program(state, ops)
-        if out.bit(macro.output) != _FUNC[kind](*values):
+        if out.bit(macro.output) != spec.func(*values):
             return False
         for cell, v in zip(inputs, values):
             if cell not in macro.destructive_cells and out.bit(cell) != v:

@@ -2,7 +2,9 @@
 
 A cycle program is the full micro-op sequence of one processing cycle: the
 cipher logic followed by every register's shift transfers under that cycle's
-plan row.  The sequence does not depend on the key, IV or lane data, so one
+plan row.  It is stored as runs of consecutive same-kind gates, each run one
+gate kind's kernel (see ``gates``) and the operand tuples it loops over.
+The sequence does not depend on the key, IV or lane data, so one
 ``ProgramCache`` per cipher × mode, built when its first sim is created,
 holds every program, and all sims of that cipher × mode share it.  After
 the plans' transitional prefix every cycle of a phase runs the same program,
@@ -17,28 +19,52 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import CellId, ExecStats, OpTuple, TraceFn, execute
-from .gates import GateKind, expand, make_macro
+from .gates import GATE_METRICS, GateKind, GateSpec, make_macro
 from .shifting import Element, Mode, plan_to_fixed_point
 
 
-# eq=False: programs are compared and hashed by identity, never by their ops
+# eq=False: programs are compared and hashed by identity, never by their runs
 @dataclass(frozen=True, eq=False)
 class CycleProgram:
-    ops: tuple[OpTuple, ...]
+    runs: tuple[tuple[GateSpec, tuple[tuple[CellId, ...], ...]], ...]  # (gate, operand tuples)
     census: tuple  # ((GateKind, tag), count) pairs
     steps: int
+
+    def run(self, cells: list[int], full: int) -> None:
+        """Apply every pulse of the cycle in place, run by run."""
+        for spec, operands in self.runs:
+            spec.kernel(cells, full, operands)
+
+    @property
+    def ops(self) -> tuple[OpTuple, ...]:
+        """The cycle's (p, q) op tuples in pulse order, for ``engine.execute``."""
+        return tuple(op for spec, operands in self.runs for x in operands for op in spec.ops(x))
 
 
 class ProgramBuilder:
     """Accumulates gates and shift transfers into one compiled cycle."""
 
     def __init__(self):
-        self._ops: list[OpTuple] = []
+        self._runs: list[tuple[GateSpec, list]] = []
         self._census: Counter = Counter()
+
+    def _instance(self, kind: GateKind, operands: tuple) -> None:
+        spec = GATE_METRICS[kind]
+        if self._runs and self._runs[-1][0] is spec:
+            self._runs[-1][1].append(operands)
+        else:
+            self._runs.append((spec, [operands]))
 
     def gate(self, kind: GateKind, inputs, works, tag: str | None = None) -> CellId:
         macro = make_macro(kind, inputs, works)
-        self._ops.extend(op.as_tuple() for op in expand(macro))
+        if kind is GateKind.BUFFER:
+            # a buffer's template is two inverters, a -> w -> q, so a
+            # register's whole shift stage is one inverter run
+            (a,), (w, q) = macro.inputs, macro.works
+            self._instance(GateKind.INVERTER, (a, w))
+            self._instance(GateKind.INVERTER, (w, q))
+        else:
+            self._instance(kind, macro.inputs + macro.works)
         self._census[(kind, tag)] += 1
         return macro.output
 
@@ -60,7 +86,9 @@ class ProgramBuilder:
         self.transfer(source, cells[0], elements[0], scratch, tag)
 
     def compiled(self) -> CycleProgram:
-        return CycleProgram(tuple(self._ops), tuple(self._census.items()), len(self._ops))
+        runs = tuple((spec, tuple(operands)) for spec, operands in self._runs)
+        steps = sum(len(spec.pulses) * len(operands) for spec, operands in runs)
+        return CycleProgram(runs, tuple(self._census.items()), steps)
 
 
 class ProgramCache:
@@ -68,8 +96,9 @@ class ProgramCache:
 
     Programs are built for every cycle up to the shift plans' parity fixed
     point, one per distinct (phase, plan rows); later cycles repeat the last
-    one.  Every program's ops are interned, so the programs share one tuple
-    per distinct op.  Neither plans nor build tables are kept.
+    one.  Every program's operand tuples are interned, so the programs share
+    one tuple per distinct operand tuple.  Neither plans nor build tables
+    are kept.
     """
 
     def __init__(self, sim: CipherSim, mode: Mode):
@@ -77,7 +106,7 @@ class ProgramCache:
         #: first cycle from which every register repeats its steady row
         self.steady_from = 1 + max(len(plan.prefix) for plan in plans)
         self.init_cycles = sim.INIT_CYCLES
-        interned: dict[OpTuple, OpTuple] = {}
+        interned: dict[tuple, tuple] = {}
         by_rows: dict = {}
 
         def program(keystream: bool, cycle: int) -> CycleProgram:
@@ -85,8 +114,10 @@ class ProgramCache:
             prog = by_rows.get((keystream, rows))
             if prog is None:
                 built = sim._build_cycle(keystream, rows)
-                ops = tuple(interned.setdefault(op, op) for op in built.ops)
-                prog = by_rows[keystream, rows] = CycleProgram(ops, built.census, built.steps)
+                runs = tuple(
+                    (spec, tuple(interned.setdefault(x, x) for x in operands)) for spec, operands in built.runs
+                )
+                prog = by_rows[keystream, rows] = CycleProgram(runs, built.census, built.steps)
             return prog
 
         last_init = min(self.init_cycles, self.steady_from)
@@ -179,16 +210,25 @@ class CipherSim:
         return self._programs.program(cycle)
 
     def _segment(self, n: int, out: list[int]) -> CycleProgram:
-        """Run the next ``n`` cycles, which must share one program, one
-        ``execute`` call per cycle; in the keystream phase append each
-        cycle's output-cell mask to ``out``."""
+        """Run the next ``n`` cycles, which must share one program; in the
+        keystream phase append each cycle's output-cell mask to ``out``.
+
+        Without a trace each cycle runs the program's gate kernels; with
+        one, ``engine.execute`` interprets the expanded ops so that every
+        pulse reaches the trace with its step index.
+        """
         first = self.cycle + 1
         prog = self._cycle_program(first)
         keystream = first > self.INIT_CYCLES
-        cells, full, ops, trace, out_cell = self.cells, self.full, prog.ops, self.trace, self.OUT
-        base = self.init.steps + self.keystream_phase.steps
+        cells, full, trace, out_cell = self.cells, self.full, self.trace, self.OUT
+        if trace is not None:
+            ops = prog.ops
+            base = self.init.steps + self.keystream_phase.steps
         for i in range(n):
-            execute(cells, full, ops, trace, base + i * prog.steps)
+            if trace is None:
+                prog.run(cells, full)
+            else:
+                execute(cells, full, ops, trace, base + i * prog.steps)
             if keystream:
                 out.append(cells[out_cell])
         (self.keystream_phase if keystream else self.init).add(prog, n)

@@ -14,6 +14,8 @@ from typing import TextIO, Union
 
 import numpy as np
 
+from .reference import bits_to_bytes_msb_first, bytes_to_bits_msb_first
+
 HEADER_BITS = 32
 
 
@@ -100,16 +102,12 @@ class StegoPayload:
     @classmethod
     def from_bytes(cls, data: bytes) -> "StegoPayload":
         # message bytes are embedded MSB-first
-        return cls([(byte >> (7 - j)) & 1 for byte in data for j in range(8)])
+        return cls(bytes_to_bits_msb_first(data))
 
     def to_bytes(self) -> bytes:
         if len(self.bits) % 8:
             raise CorruptPayloadError("payload bit count is not a whole number of bytes")
-        out = bytearray(len(self.bits) // 8)
-        for i, bit in enumerate(self.bits):
-            if bit:
-                out[i >> 3] |= 1 << (7 - (i & 7))
-        return bytes(out)
+        return bits_to_bytes_msb_first(self.bits)
 
 
 def capacity_bits(image: GrayImage) -> int:
@@ -117,14 +115,17 @@ def capacity_bits(image: GrayImage) -> int:
     return max(image.pixel_count - HEADER_BITS, 0)
 
 
+def check_capacity(image: GrayImage, n_bits: int) -> None:
+    """Raise ``CapacityError`` unless ``n_bits`` payload bits fit the image."""
+    if HEADER_BITS + n_bits > image.pixel_count:
+        raise CapacityError(f"payload of {n_bits} bits exceeds capacity {capacity_bits(image)}")
+
+
 def embed_lsb(image: GrayImage, payload: StegoPayload) -> GrayImage:
     bits = payload.bits
     if any(bit not in (0, 1) for bit in bits):
         raise ValueError("payload must be 0/1 bits")
-    if HEADER_BITS + len(bits) > image.pixel_count:
-        raise CapacityError(
-            f"payload of {len(bits)} bits exceeds capacity {capacity_bits(image)}"
-        )
+    check_capacity(image, len(bits))
     header = [(len(bits) >> (31 - i)) & 1 for i in range(HEADER_BITS)]
     stream = np.array(header + list(bits), dtype=np.uint8)
     out = image.pixels.copy()

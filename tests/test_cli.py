@@ -5,6 +5,7 @@ import pytest
 
 from implysim import costs, stego
 from implysim.cli import main
+from implysim.programs import CipherSim
 from implysim.shifting import Mode
 
 KEY_T = "80000000000000000000"
@@ -215,3 +216,81 @@ def test_crypt_input_directory_is_os_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_bad_key_leaves_no_trace_file(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    rc = main(["keystream", "--cipher", "trivium", "--key", "zz", "--iv", IV_T, "-n", "1",
+               "--trace", str(trace)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not trace.exists()
+
+
+def _stego_inputs(tmp_path, payload_bits=16):
+    """A cover, a message, and a stego image carrying a ``payload_bits`` payload."""
+    cover = tmp_path / "cover.pgm"
+    img = _write_cover(cover, shape=(16, 16))
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"hi")
+    stego_path = tmp_path / "stego.pgm"
+    stego.write_pgm(stego.embed_lsb(img, stego.StegoPayload([1, 0] * (payload_bits // 2))), stego_path)
+    return cover, msg, stego_path
+
+
+@pytest.mark.parametrize("command", ["keystream", "crypt", "embed", "extract"])
+def test_output_in_missing_directory_fails_before_keystream(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(CipherSim, "keystream", lambda sim, n: calls.append(n) or [0] * n)
+    cover, msg, stego_path = _stego_inputs(tmp_path)
+    missing = tmp_path / "missing" / "out"
+    common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T]
+    argv = {
+        "keystream": ["keystream", *common, "-n", "8", "--out", str(missing)],
+        "crypt": ["crypt", *common, "--in", str(msg), "--out", str(missing)],
+        "embed": ["stego", "embed", *common, "--cover", str(cover), "--in", str(msg), "--stego", str(missing)],
+        "extract": ["stego", "extract", *common, "--stego", str(stego_path), "--out", str(missing)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert not missing.parent.exists()
+
+
+def test_embed_over_capacity_fails_before_keystream(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(CipherSim, "keystream", lambda sim, n: calls.append(n) or [0] * n)
+    cover, _msg, _stego = _stego_inputs(tmp_path)
+    msg = tmp_path / "long.bin"
+    msg.write_bytes(bytes(64))  # 512 bits > the 16x16 cover's 224-bit capacity
+    out = tmp_path / "s.pgm"
+    rc = main(["stego", "embed", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
+               "--cover", str(cover), "--in", str(msg), "--stego", str(out)])
+    assert rc == 1
+    assert "capacity" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["embed-over-capacity", "extract-partial-byte", "crypt-in-place-interrupted"])
+def test_failed_run_leaves_existing_output_unchanged(tmp_path, capsys, monkeypatch, case):
+    cover, msg, _stego = _stego_inputs(tmp_path)
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"keep me")
+    common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T]
+    if case == "embed-over-capacity":
+        msg.write_bytes(bytes(64))
+        assert main(["stego", "embed", *common, "--cover", str(cover), "--in", str(msg),
+                     "--stego", str(existing)]) == 1
+    elif case == "extract-partial-byte":
+        _c, _m, odd = _stego_inputs(tmp_path, payload_bits=10)  # not a whole number of bytes
+        assert main(["stego", "extract", *common, "--stego", str(odd), "--out", str(existing)]) == 1
+        assert "whole number of bytes" in capsys.readouterr().err
+    else:
+        def interrupted(sim, n):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CipherSim, "keystream", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["crypt", *common, "--in", str(existing), "--out", str(existing)])
+    assert existing.read_bytes() == b"keep me"

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from implysim.engine import ArrayState, OperandError, run_program
+from implysim.engine import ArrayState, OperandError, execute, run_program
 from implysim.gates import (
     GATE_METRICS,
     GateKind,
@@ -148,3 +149,27 @@ def test_aliased_cells_rejected():
 
 def test_every_kind_has_exactly_one_metrics_row():
     assert set(GATE_METRICS) == set(GateKind)
+
+
+def test_buffer_template_is_two_inverters():
+    # the program builder runs a buffer as these two inverter halves
+    buf = make_macro(GateKind.BUFFER, (0,), (1, 2))
+    first = make_macro(GateKind.INVERTER, (0,), (1,))
+    second = make_macro(GateKind.INVERTER, (1,), (2,))
+    assert expand(buf) == expand(first) + expand(second)
+
+
+@pytest.mark.parametrize("width", [1, 64])
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_kernel_matches_interpreter(kind, width):
+    rng = random.Random(f"{kind.value}-{width}")
+    spec = GATE_METRICS[kind]
+    n_cells = 12
+    # instances may share cells with one another, never within one
+    operands = [tuple(rng.sample(range(n_cells), spec.arity + spec.works)) for _ in range(20)]
+    cells = [rng.getrandbits(width) for _ in range(n_cells)]
+    expected = list(cells)
+    ops = [op.as_tuple() for x in operands for op in expand(make_macro(kind, x[: spec.arity], x[spec.arity :]))]
+    execute(expected, (1 << width) - 1, ops)
+    spec.kernel(cells, (1 << width) - 1, operands)
+    assert cells == expected

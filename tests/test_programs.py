@@ -6,6 +6,7 @@ Both must leave the same array state and the same cost report, and sims of
 one cipher × mode share programs without sharing any key-dependent state.
 """
 
+import hashlib
 import random
 from itertools import chain
 
@@ -13,8 +14,9 @@ import pytest
 
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs
+from implysim.engine import CsvTrace, execute
 from implysim.grain_cim import GrainSim
-from implysim.reference import grain128a_ref, trivium_ref
+from implysim.reference import grain128a_ref, grain_key_bits, trivium_ref
 from implysim.shifting import Mode
 from implysim.trivium_cim import TriviumSim
 
@@ -100,9 +102,10 @@ def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
     cycles = range(1, first.cycle + 1)
     programs = [first._cycle_program(t) for t in cycles]
     assert all(prog is second._cycle_program(t) for t, prog in zip(cycles, programs))
-    # interned ops: one tuple object per distinct op across all programs
-    ops = [op for prog in set(programs) for op in prog.ops]
-    assert len({id(op) for op in ops}) == len(set(ops))
+    # interned operands: one tuple object per distinct operand tuple across
+    # all programs of the cache
+    operands = [x for prog in set(programs) for _spec, run in prog.runs for x in run]
+    assert len({id(x) for x in operands}) == len(set(operands))
 
 
 def test_trace_sees_every_pulse_in_program_order():
@@ -123,3 +126,46 @@ def test_trace_sees_every_pulse_in_program_order():
     sim.keystream(2)
     assert seen == costs.aggregate(sim).total_steps
     assert next(expected, None) is None
+
+
+@pytest.mark.parametrize("width", [1, 64])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_program_runs_match_interpreted_ops(cipher, mode, width):
+    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    rng = random.Random(f"runs-{cipher}-{mode.value}-{width}")
+    sim = cls(random_bits(rng, key_len), random_bits(rng, iv_len), mode, width)
+    cache = sim._programs
+    programs = set(cache._init) | set(cache._keystream)
+    full = (1 << width) - 1
+    for prog in programs:
+        cells = [rng.getrandbits(width) for _ in sim.cells]
+        expected = list(cells)
+        assert execute(expected, full, prog.ops) == prog.steps
+        prog.run(cells, full)
+        assert cells == expected
+
+
+class _HashWriter:
+    """A text sink that keeps only a line count and a sha256."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.lines = 0
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.lines += text.count("\n")
+
+
+@pytest.mark.parametrize("mode,lines,digest", [
+    (Mode.PROPOSED, 247_779, "b851109c3b3eea1bdf9c5c95734dda63716da71c1444d0d95e3d67003967ffa4"),
+    (Mode.CONVENTIONAL, 366_325, "a5abbdb68cd0e21e8273f4677675d8b05c1a48c61e5c57263351c08add8f05c6"),
+], ids=["proposed", "conventional"])
+def test_csv_trace_is_pinned(mode, lines, digest):
+    # two Grain-128a keystream bits, traced pulse by pulse
+    sink = _HashWriter()
+    key = grain_key_bits("000102030405060708090a0b0c0d0e0f", 16, "key")
+    iv = grain_key_bits("000102030405060708090a0b", 12, "iv")
+    GrainSim(key, iv, mode, trace=CsvTrace(sink)).keystream(2)
+    assert (sink.lines, sink.sha.hexdigest()) == (lines, digest)

@@ -24,8 +24,7 @@ def gate_table():
     print(f"{'gate':<22}{'memristors':>11}{'steps':>7}{'energy (nJ)':>13}")
     for kind in GateKind:
         m = GATE_METRICS[kind]
-        energy = f"{m.energy_nj:.4f}" if m.energy_nj is not None else "-"
-        print(f"{kind.value:<22}{m.memristors:>11}{m.steps:>7}{energy:>13}")
+        print(f"{kind.value:<22}{m.memristors:>11}{m.steps:>7}{m.energy_nj:>13.4f}")
     print()
 
 

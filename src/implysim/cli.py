@@ -57,7 +57,7 @@ def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode):
 
 
 def _check_output(*paths: str | None) -> None:
-    """Fail before the keystream runs if an output path cannot be written.
+    """Fail before any work runs if an output path cannot be written.
 
     Nothing is opened here: outputs are written only once the work has
     succeeded, so a failed run leaves an existing file as it was.
@@ -149,6 +149,7 @@ _REGISTERS = {
 
 
 def cmd_plan(args) -> int:
+    _check_output(args.out)
     layouts, cipher = _REGISTERS[args.register]
     if args.cipher and args.cipher != cipher:
         print(f"error: register {args.register} belongs to {cipher}", file=sys.stderr)

@@ -14,31 +14,25 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ExecStats
-from .gates import GATE_METRICS, GateKind
+from .gates import GATE_METRICS
 from .shifting import Mode
 
 
 class AccountingError(ValueError):
-    """A census row references an unknown gate kind or fails validation."""
-
-
-def _energy_e4(kind: GateKind) -> int:
-    m = GATE_METRICS[kind]
-    if m.energy_nj is None:
-        raise AccountingError(f"no energy model for gate kind {kind.value}")
-    return m.energy_e4
+    """A census fails validation, or a cost comparison is not defined."""
 
 
 @dataclass
 class PhaseCost:
+    """Cycles, executed steps and gate census of a run of cycles."""
+
     cycles: int
     steps: int
     census: dict  # (GateKind, tag) -> count
 
     @property
     def energy_e4(self) -> int:
-        return sum(_energy_e4(kind) * n for (kind, _tag), n in self.census.items())
+        return sum(GATE_METRICS[kind].energy_e4 * n for (kind, _tag), n in self.census.items())
 
     @property
     def energy_nj(self) -> float:
@@ -47,15 +41,6 @@ class PhaseCost:
     @property
     def energy_uj(self) -> float:
         return self.energy_e4 / 1e7
-
-    def counts_by_kind(self) -> dict[GateKind, int]:
-        out: dict[GateKind, int] = {}
-        for (kind, _tag), n in self.census.items():
-            out[kind] = out.get(kind, 0) + n
-        return out
-
-    def counts_by_tag(self, kind: GateKind) -> dict[Optional[str], int]:
-        return {tag: n for (k, tag), n in self.census.items() if k == kind}
 
     def validate(self) -> None:
         derived = sum(GATE_METRICS[kind].steps * n for (kind, _t), n in self.census.items())
@@ -111,21 +96,12 @@ class CostReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _phase_from_stats(stats: ExecStats, cycles: int) -> PhaseCost:
-    p = PhaseCost(cycles, stats.steps, dict(stats.per_gate_counts))
-    p.validate()
-    return p
-
-
 def aggregate(sim) -> CostReport:
     """Cost report for a finished (or partially run) cipher simulation."""
-    return CostReport(
-        cipher=sim.CIPHER,
-        mode=sim.mode,
-        init=_phase_from_stats(sim.init.stats, sim.init.cycles),
-        keystream=_phase_from_stats(sim.keystream_phase.stats, sim.keystream_phase.cycles),
-        memristors=dict(sim.MEMRISTORS),
-    )
+    init, keystream = sim.init.stats, sim.keystream_phase.stats
+    init.validate()
+    keystream.validate()
+    return CostReport(sim.CIPHER, sim.mode, init, keystream, dict(sim.MEMRISTORS))
 
 
 # --- closed forms ------------------------------------------------------------

@@ -18,8 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import CellId, ExecStats, OpTuple, TraceFn, execute
-from .gates import GATE_METRICS, GateKind, GateSpec, make_macro
+from .costs import PhaseCost
+from .engine import CellId, OperandError, TraceFn, execute
+from .gates import GATE_METRICS, GateKind, GateSpec
 from .shifting import Element, Mode, plan_to_fixed_point
 
 
@@ -36,7 +37,7 @@ class CycleProgram:
             spec.kernel(cells, full, operands)
 
     @property
-    def ops(self) -> tuple[OpTuple, ...]:
+    def ops(self) -> tuple[tuple[CellId, CellId], ...]:
         """The cycle's (p, q) op tuples in pulse order, for ``engine.execute``."""
         return tuple(op for spec, operands in self.runs for x in operands for op in spec.ops(x))
 
@@ -56,17 +57,26 @@ class ProgramBuilder:
             self._runs.append((spec, [operands]))
 
     def gate(self, kind: GateKind, inputs, works, tag: str | None = None) -> CellId:
-        macro = make_macro(kind, inputs, works)
+        """Append one gate instance on ``inputs`` then ``works``, which must
+        be distinct cells; returns its output cell."""
+        spec = GATE_METRICS[kind]
+        operands = (*inputs, *works)
+        if len(inputs) != spec.arity:
+            raise OperandError(f"{kind.value} takes {spec.arity} inputs, got {len(inputs)}")
+        if len(works) != spec.works:
+            raise OperandError(f"{kind.value} needs {spec.works} work cells, got {len(works)}")
+        if len(set(operands)) != len(operands):
+            raise OperandError(f"{kind.value} operand/work cells must be distinct: {operands}")
         if kind is GateKind.BUFFER:
-            # a buffer's template is two inverters, a -> w -> q, so a
+            # a buffer's pulses are two inverters, a -> w -> q, so a
             # register's whole shift stage is one inverter run
-            (a,), (w, q) = macro.inputs, macro.works
+            a, w, q = operands
             self._instance(GateKind.INVERTER, (a, w))
             self._instance(GateKind.INVERTER, (w, q))
         else:
-            self._instance(kind, macro.inputs + macro.works)
+            self._instance(kind, operands)
         self._census[(kind, tag)] += 1
-        return macro.output
+        return operands[spec.out]
 
     def transfer(self, src: CellId, dst: CellId, element: Element, scratch: CellId, tag: str) -> None:
         if element is Element.BUFFER:
@@ -158,12 +168,12 @@ class Phase:
         return sum(prog.steps * n for prog, n in self.runs.items())
 
     @property
-    def stats(self) -> ExecStats:
+    def stats(self) -> PhaseCost:
         counts: dict = {}
         for prog, n in self.runs.items():
             for key, c in prog.census:
                 counts[key] = counts.get(key, 0) + c * n
-        return ExecStats(self.steps, counts)
+        return PhaseCost(self.cycles, self.steps, counts)
 
 
 class CipherSim:
@@ -250,12 +260,12 @@ class CipherSim:
             self._segment(n, out)
         return out
 
-    def step_cycle(self) -> tuple[ExecStats, Optional[int]]:
-        """Run one full cycle; returns its stats and, in the keystream
+    def step_cycle(self) -> tuple[PhaseCost, Optional[int]]:
+        """Run one full cycle; returns its cost and, in the keystream
         phase, the output-cell mask."""
         out: list[int] = []
         prog = self._segment(1, out)
-        return ExecStats(prog.steps, dict(prog.census)), (out[0] if out else None)
+        return PhaseCost(1, prog.steps, dict(prog.census)), (out[0] if out else None)
 
     def run_init(self) -> None:
         self._advance(self.INIT_CYCLES)

@@ -18,6 +18,7 @@ Hex conventions (shared with the CLI so oracle and simulator agree):
 
 from __future__ import annotations
 
+import string
 from typing import Sequence
 
 Bits = list[int]
@@ -42,10 +43,10 @@ def hex_to_bytes(s: str, nbytes: int, what: str) -> bytes:
     s = s.strip()
     if len(s) != 2 * nbytes:
         raise InputError(f"{what} must be {2 * nbytes} hex chars, got {len(s)}")
-    try:
-        return bytes.fromhex(s)
-    except ValueError as e:
-        raise InputError(f"{what} is not valid hex: {e}") from None
+    # bytes.fromhex would skip inner whitespace and return too few bytes
+    if not set(s) <= set(string.hexdigits):
+        raise InputError(f"{what} is not valid hex: use only 0-9, a-f and A-F")
+    return bytes.fromhex(s)
 
 
 def trivium_key_bits(hex20: str, what: str = "key") -> Bits:

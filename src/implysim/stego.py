@@ -78,10 +78,9 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
             raise FormatError("truncated PGM header")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise FormatError(f"bad PGM header fields: {fields}") from None
+    if not all(f.isdigit() for f in fields):  # ASCII digits only: no sign
+        raise FormatError(f"bad PGM header fields: {fields}")
+    width, height, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     raster = data[pos : pos + width * height]

@@ -17,8 +17,8 @@ import numpy as np
 
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs, stego
-from implysim.engine import ArrayState, exec_imply
-from implysim.gates import GateKind, gate_metrics, make_macro, expand, touched_cells, truth_check
+from implysim.engine import FALSE_P, execute
+from implysim.gates import GATE_METRICS, GateKind, truth_check
 from implysim.grain_cim import GrainSim, LFSR_TAP_IDX, NFSR_TAP_IDX, LAYOUTS as GRAIN_LAYOUTS
 from implysim.reference import (
     bits_to_bytes_lsb_first,
@@ -51,8 +51,9 @@ def test_c1_imply_truth_table():
     table = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
     results = {}
     for (p, q), want in table.items():
-        out = exec_imply(ArrayState.from_bits([p, q]), 0, 1)
-        results[(p, q)] = (out.bit(1), out.bit(0))
+        cells = [p, q]
+        execute(cells, 1, [(0, 1)])
+        results[(p, q)] = (cells[1], cells[0])
     ok = all(results[k] == (v, k[0]) for k, v in table.items())
     _line("C1 imply-semantics", ok, "4/4 rows exact")
     assert ok
@@ -83,15 +84,17 @@ _GATE_SHAPES = {
 }
 
 
-def test_c2_gate_metrics_and_truth():
+def test_c2_gate_table_and_truth():
     ok = True
     for kind, (steps, cells, energy) in _TABLE16.items():
-        m = gate_metrics(kind)
+        m = GATE_METRICS[kind]
         arity, works = _GATE_SHAPES[kind]
-        macro = make_macro(kind, tuple(range(arity)), tuple(range(arity, arity + works)))
+        operands = tuple(range(arity + works))
+        touched = {q for _p, q in m.pulses} | {p for p, _q in m.pulses if p != FALSE_P}
+        ok &= (m.arity, m.works) == (arity, works)
         ok &= (m.steps, m.memristors, m.energy_nj) == (steps, cells, energy)
-        ok &= len(expand(macro)) == steps
-        ok &= len(touched_cells(macro)) == cells
+        ok &= len(m.ops(operands)) == steps
+        ok &= len(touched) == cells
         ok &= truth_check(kind)
     _line("C2 gate-metrics", ok, "8 kinds exact; exhaustive truth checks pass")
     assert ok
@@ -220,7 +223,7 @@ def test_c4b_grain_simulated_preinit_total(rng):
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     sim.run_init()
     steps = sim.init.stats.steps
-    census = sim.init.stats.per_gate_counts
+    census = sim.init.stats.census
     sim_buffers = {reg: census[(GateKind.BUFFER, reg)] for reg in ("LFSR", "NFSR")}
 
     checks = {

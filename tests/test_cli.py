@@ -77,6 +77,20 @@ def test_bad_hex_and_length_errors(capsys):
     assert main(["keystream", "--cipher", "grain128a", "--key", KEY_T, "--iv", IV_G, "-n", "1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "cipher,key,iv",
+    [
+        ("trivium", "80 00 00000000000000", IV_T),
+        ("trivium", "8000\t\t00000000000000", IV_T),
+        ("grain128a", KEY_G, "00000000 00000000 000000"),
+    ],
+    ids=["trivium-key-space", "trivium-key-tab", "grain-iv-space"],
+)
+def test_whitespace_inside_hex_is_not_valid_hex(capsys, cipher, key, iv):
+    assert main(["keystream", "--cipher", cipher, "--key", key, "--iv", iv, "-n", "1"]) == 1
+    assert "is not valid hex" in capsys.readouterr().err
+
+
 def test_missing_iv_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["keystream", "--cipher", "grain128a", "--key", KEY_G, "-n", "1"])
@@ -156,6 +170,17 @@ def test_stego_rejects_non_pgm(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_stego_extract_rejects_signed_pgm_dimensions(tmp_path, capsys):
+    # (-2)*(-2) pixels pass a length check on width*height alone
+    neg = tmp_path / "neg.pgm"
+    neg.write_bytes(b"P5\n-2 -2\n255\n" + bytes(64))
+    rc = main(["stego", "extract", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
+               "--stego", str(neg), "--out", str(tmp_path / "rec.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: bad PGM header fields")
+    assert not (tmp_path / "rec.bin").exists()
+
+
 def test_stego_capacity_error(tmp_path, capsys):
     cover = tmp_path / "tiny.pgm"
     _write_cover(cover, shape=(8, 8))
@@ -189,6 +214,15 @@ def test_plan_grain_nfsr_steady_and_conventional(capsys):
     rc = main(["plan", "--register", "B", "--mode", "conventional", "--cycles", "2"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "1,84,0" and lines[-1] == "total,168,0"
+
+
+def test_plan_out_in_missing_directory_fails_before_printing(tmp_path, capsys):
+    out = tmp_path / "missing" / "plan.csv"
+    rc = main(["plan", "--register", "A", "--cycles", "70", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_plan_register_cipher_mismatch(capsys):

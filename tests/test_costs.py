@@ -15,8 +15,9 @@ from implysim.costs import (
     report_table,
     simulated_form,
 )
-from implysim.gates import GateKind
+from implysim.gates import GATE_METRICS, GateKind
 from implysim.grain_cim import GrainSim
+from implysim.programs import CycleProgram
 from implysim.shifting import Mode
 from implysim.trivium_cim import TriviumSim
 
@@ -129,10 +130,21 @@ def test_phase_cost_validation_and_unknown_energy():
     bad = PhaseCost(cycles=1, steps=5, census={(GateKind.AND2, None): 2})
     with pytest.raises(AccountingError):
         bad.validate()
-    no_energy = PhaseCost(cycles=1, steps=3, census={(GateKind.OR2, None): 1})
-    no_energy.validate()
+    # every kind has an energy model, so no census has an unknown energy
+    census = {(kind, None): 1 for kind in GateKind}
+    every = PhaseCost(cycles=1, steps=sum(GATE_METRICS[k].steps for k in GateKind), census=census)
+    every.validate()
+    assert every.energy_e4 == sum(round(GATE_METRICS[k].energy_nj * 10000) for k in GateKind) > 0
+
+
+@pytest.mark.parametrize("phase", ["init", "keystream_phase"])
+def test_aggregate_rejects_census_that_disagrees_with_executed_steps(rng, phase):
+    sim = TriviumSim(random_bits(rng, 80), random_bits(rng, 80), Mode.PROPOSED)
+    sim.keystream(1)
+    # a program whose census claims one AND2 but that executed no pulse
+    getattr(sim, phase).add(CycleProgram((), (((GateKind.AND2, None), 1),), 0), 1)
     with pytest.raises(AccountingError):
-        _ = no_energy.energy_e4
+        aggregate(sim)
 
 
 def test_empty_stats_zero_report(rng):

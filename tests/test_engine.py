@@ -3,98 +3,101 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from implysim.engine import (
-    ArrayState,
-    CsvTrace,
-    LayoutError,
-    OperandError,
-    exec_false,
-    exec_imply,
-    false_op,
-    imply_op,
-    run_program,
-)
+from implysim.engine import FALSE_P, CsvTrace, LayoutError, OperandError, execute
+from implysim.gates import GATE_METRICS, GateKind, GateSpec
+from implysim.programs import ProgramBuilder
 
 
 def test_imply_truth_table_exhaustive():
     # q := p IMPLY q, false only for (1, 0)
     expected = {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 1}
     for (p, q), want in expected.items():
-        state = ArrayState.from_bits([p, q])
-        out = exec_imply(state, 0, 1)
-        assert out.bit(1) == want
-        assert out.bit(0) == p  # p unchanged
+        cells = [p, q]
+        execute(cells, 1, [(0, 1)])
+        assert cells[1] == want
+        assert cells[0] == p  # p unchanged
 
 
 def test_false_resets_and_is_idempotent():
-    state = ArrayState.from_bits([1])
-    out = exec_false(state, 0)
-    assert out.bit(0) == 0
-    assert exec_false(out, 0).bit(0) == 0
+    cells = [1]
+    execute(cells, 1, [(FALSE_P, 0)])
+    assert cells == [0]
+    execute(cells, 1, [(FALSE_P, 0)])
+    assert cells == [0]
 
 
 def test_false_composition_clears_array(rng):
-    bits = [rng.randint(0, 1) for _ in range(8)]
-    state = ArrayState.from_bits(bits)
-    ops = [false_op(i) for i in range(8)]
-    out, stats = run_program(state, ops)
-    assert out.bits() == [0] * 8
-    assert stats.steps == 8
+    cells = [rng.randint(0, 1) for _ in range(8)]
+    steps = execute(cells, 1, [(FALSE_P, i) for i in range(8)])
+    assert cells == [0] * 8
+    assert steps == 8
 
 
 def test_empty_program_is_identity(rng):
     bits = [rng.randint(0, 1) for _ in range(5)]
-    state = ArrayState.from_bits(bits)
-    out, stats = run_program(state, [])
-    assert out.bits() == bits
-    assert stats.steps == 0
+    cells = list(bits)
+    steps = execute(cells, 1, [])
+    assert cells == bits
+    assert steps == 0
+
+
+def test_errors():
+    inv = GATE_METRICS[GateKind.INVERTER]
+
+    def row(pulses):
+        return GateSpec(GateKind.INVERTER, 1, 1, inv.func, pulses, 1, (), inv.energy_nj)
+
+    # a gate row's IMPLY pulse on one cell, or a pulse outside its operands
+    with pytest.raises(OperandError):
+        row(((FALSE_P, 1), (1, 1)))
+    with pytest.raises(LayoutError):
+        row(((FALSE_P, 2), (0, 1)))
+    with pytest.raises(LayoutError):
+        row(((FALSE_P, 1), (5, 1)))
+    # a gate instance on aliased cells
+    with pytest.raises(OperandError):
+        ProgramBuilder().gate(GateKind.INVERTER, (3,), (3,))
+
+
+def test_invalid_op_leaves_input_untouched():
+    pb = ProgramBuilder()
+    pb.gate(GateKind.AND2, (0, 1), (2, 3), "t")
+    before = pb.compiled()
+    with pytest.raises(OperandError):
+        pb.gate(GateKind.XOR2_DESTRUCTIVE, (4, 4), (5, 6), "t")
+    with pytest.raises(OperandError):
+        pb.gate(GateKind.AND2, (4, 5), (6,), "t")
+    # a rejected gate adds no pulse, run or census entry to the cycle
+    after = pb.compiled()
+    assert (after.runs, after.census, after.steps) == (before.runs, before.census, before.steps)
 
 
 def test_not_via_false_then_imply():
     # NOT p realized as p -> 0 into a cleared cell
-    state = ArrayState.from_bits([1, 1])
-    out, stats = run_program(state, [false_op(1), imply_op(0, 1)])
-    assert out.bit(1) == 0
-    assert stats.steps == 2
+    cells = [1, 1]
+    steps = execute(cells, 1, [(FALSE_P, 1), (0, 1)])
+    assert cells[1] == 0
+    assert steps == 2
 
 
 def test_destructive_xor_sequence_hand_traced():
     # 9-op destructive XOR on (a=1, b=0): cells a,b,s1,s2
     a, b, s1, s2 = 0, 1, 2, 3
     ops = [
-        false_op(s1),
-        false_op(s2),
-        imply_op(a, s1),
-        imply_op(b, s2),
-        imply_op(s1, s2),
-        false_op(s1),
-        imply_op(s2, s1),
-        imply_op(a, b),
-        imply_op(b, s1),
+        (FALSE_P, s1),
+        (FALSE_P, s2),
+        (a, s1),
+        (b, s2),
+        (s1, s2),
+        (FALSE_P, s1),
+        (s2, s1),
+        (a, b),
+        (b, s1),
     ]
-    state = ArrayState.from_bits([1, 0, 0, 0])
-    out, stats = run_program(state, ops)
-    assert out.bit(s1) == 1  # 1 XOR 0
-    assert stats.steps == 9
-
-
-def test_errors():
-    state = ArrayState.from_bits([0, 1])
-    with pytest.raises(OperandError):
-        exec_imply(state, 1, 1)
-    with pytest.raises(LayoutError):
-        exec_false(state, 2)
-    with pytest.raises(OperandError):
-        imply_op(3, 3)
-    with pytest.raises(LayoutError):
-        run_program(state, [false_op(7)])
-
-
-def test_invalid_op_leaves_input_untouched():
-    state = ArrayState.from_bits([1, 1])
-    with pytest.raises(LayoutError):
-        run_program(state, [false_op(0), false_op(9)])
-    assert state.bits() == [1, 1]
+    cells = [1, 0, 0, 0]
+    steps = execute(cells, 1, ops)
+    assert cells[s1] == 1  # 1 XOR 0
+    assert steps == 9
 
 
 @st.composite
@@ -106,54 +109,52 @@ def state_and_ops(draw):
     for _ in range(n_ops):
         q = draw(st.integers(0, n - 1))
         if draw(st.booleans()):
-            ops.append(false_op(q))
+            ops.append((FALSE_P, q))
         else:
             p = draw(st.integers(0, n - 1).filter(lambda x: x != q))
-            ops.append(imply_op(p, q))
+            ops.append((p, q))
     return bits, ops
 
 
 @given(state_and_ops())
 def test_frame_property_each_op_touches_only_its_target(case):
     bits, ops = case
-    state = ArrayState.from_bits(bits)
+    cells = list(bits)
     for op in ops:
-        nxt, _ = run_program(state, [op])
-        for i in range(state.length):
-            if i != op.q:
-                assert nxt.bit(i) == state.bit(i)
-        state = nxt
+        before = list(cells)
+        execute(cells, 1, [op])
+        for i in range(len(cells)):
+            if i != op[1]:
+                assert cells[i] == before[i]
 
 
 @given(state_and_ops())
-def test_run_program_deterministic_and_counts_steps(case):
+def test_execute_deterministic_and_counts_steps(case):
     bits, ops = case
-    state = ArrayState.from_bits(bits)
-    out1, stats1 = run_program(state, ops)
-    out2, stats2 = run_program(state, ops)
-    assert out1.bits() == out2.bits()
-    assert stats1.steps == stats2.steps == len(ops)
+    out1, out2 = list(bits), list(bits)
+    steps1 = execute(out1, 1, ops)
+    steps2 = execute(out2, 1, ops)
+    assert out1 == out2
+    assert steps1 == steps2 == len(ops)
 
 
 def test_vectorized_lanes_match_scalar(rng):
-    # 16 lanes in one state vs 16 scalar runs under the same op sequence
+    # 16 lanes in one row vs 16 scalar runs under the same op sequence
     width = 16
     n = 6
     lanes = [[rng.randint(0, 1) for _ in range(n)] for _ in range(width)]
-    ops = [false_op(3), imply_op(0, 3), imply_op(1, 2), false_op(5), imply_op(2, 5)]
-    packed = ArrayState(
-        [sum(lanes[w][i] << w for w in range(width)) for i in range(n)], width
-    )
-    out, _ = run_program(packed, ops)
+    ops = [(FALSE_P, 3), (0, 3), (1, 2), (FALSE_P, 5), (2, 5)]
+    packed = [sum(lanes[w][i] << w for w in range(width)) for i in range(n)]
+    execute(packed, (1 << width) - 1, ops)
     for w in range(width):
-        scalar, _ = run_program(ArrayState.from_bits(lanes[w]), ops)
-        assert [out.bit(i, w) for i in range(n)] == scalar.bits()
+        scalar = list(lanes[w])
+        execute(scalar, 1, ops)
+        assert [(packed[i] >> w) & 1 for i in range(n)] == scalar
 
 
 def test_csv_trace_lines():
     buf = io.StringIO()
-    state = ArrayState.from_bits([1, 0])
-    run_program(state, [false_op(1), imply_op(0, 1)], trace=CsvTrace(buf))
+    execute([1, 0], 1, [(FALSE_P, 1), (0, 1)], trace=CsvTrace(buf))
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "step_index,kind,p,q,resulting_bit"
     assert lines[1] == "0,FALSE,,1,0"

@@ -54,7 +54,7 @@ def test_preinit_phase_totals(rng):
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     sim.run_init()
     assert sim.init.stats.steps == PREINIT_STEPS_CORRECT
-    counts = dict(sim.init.stats.per_gate_counts)
+    counts = dict(sim.init.stats.census)
     assert counts[(GateKind.XOR2_DESTRUCTIVE, None)] == 31 * PREINIT_CYCLES
     assert counts[(GateKind.XOR2_NONDESTRUCTIVE, None)] == 3 * PREINIT_CYCLES
     assert counts[(GateKind.AND2, None)] == 11 * PREINIT_CYCLES
@@ -83,7 +83,7 @@ def test_keystream_cycle_costs(rng):
     delta, z = sim.step_cycle()
     assert delta.steps == 942
     assert z in (0, 1)
-    logic = {k: n for (k, t), n in delta.per_gate_counts.items() if t is None}
+    logic = {k: n for (k, t), n in delta.census.items() if t is None}
     assert logic == {
         GateKind.XOR2_DESTRUCTIVE: 29,
         GateKind.XOR2_NONDESTRUCTIVE: 3,

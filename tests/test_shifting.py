@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from implysim.engine import ArrayState, execute
+from implysim.engine import execute
 from implysim.programs import ProgramBuilder
 from implysim.shifting import (
     Element,
@@ -228,16 +228,16 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
     inputs = [rnd.randint(0, 1) for _ in range(cycles)]
     cells = list(range(n))
     src, scratch = n, n + 1
-    state = ArrayState.from_bits(init + [0, 0])
+    state = init + [0, 0]
 
     logical = list(init)
     parity = [0] * (n + 1)
     for t in range(1, cycles + 1):
         elems = plan.elements(t)
-        state.cells[src] = inputs[t - 1]
+        state[src] = inputs[t - 1]
         pb = ProgramBuilder()
         pb.shift_register(cells, src, elems, scratch, "fuzz")
-        execute(state.cells, 1, pb.compiled().ops)
+        execute(state, 1, pb.compiled().ops)
         logical = [inputs[t - 1]] + logical[:-1]
         new_parity = [0] * (n + 1)
         for m in range(1, n + 1):
@@ -245,7 +245,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
         parity = new_parity
         for pos in range(1, n + 1):
             expected = logical[pos - 1] ^ parity[pos]
-            assert state.bit(pos - 1) == expected
+            assert state[pos - 1] == expected
             if pos in layout.taps:
                 assert parity[pos] == 0
 

@@ -57,6 +57,14 @@ def test_pgm_rejects_bad_files(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("dims", [b"-2 -2", b"+8 +8", b"8 +8"])
+def test_pgm_rejects_signed_dimensions(tmp_path, dims):
+    p = tmp_path / "x.pgm"
+    p.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(64))
+    with pytest.raises(FormatError):
+        read_pgm(p)
+
+
 def test_embed_extract_round_trip_random_payload(rng):
     img = fixture_image(2)
     bits = [rng.randint(0, 1) for _ in range(1024)]

@@ -50,7 +50,7 @@ def test_init_phase_step_total_and_census(rng):
     sim.run_init()
     assert sim.init.stats.steps == 797266
     counts = {}
-    for (kind, tag), n in sim.init.stats.per_gate_counts.items():
+    for (kind, tag), n in sim.init.stats.census.items():
         counts[(kind, tag)] = n
     # logic census: 9 destructive XOR2 and 3 AND2 per cycle
     assert counts[(GateKind.XOR2_DESTRUCTIVE, None)] == 9 * INIT_CYCLES
@@ -83,7 +83,7 @@ def test_keystream_cycle_costs(rng):
     delta, z = sim.step_cycle()
     assert delta.steps == 710
     assert z in (0, 1)
-    logic = {k: n for (k, t), n in delta.per_gate_counts.items() if t is None}
+    logic = {k: n for (k, t), n in delta.census.items() if t is None}
     assert logic == {GateKind.XOR2_DESTRUCTIVE: 11, GateKind.AND2: 3}
     # marginal energy: 47.8983 nJ exactly
     report = costs.aggregate(sim)

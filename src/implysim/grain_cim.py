@@ -65,8 +65,8 @@ def s(i: int) -> int:
 
 
 # flow order: position 1 receives the injection
-_NFSR_CELLS = [b(127 - j) for j in range(NB)]
-_LFSR_CELLS = [s(127 - j) for j in range(NS)]
+_NFSR_CELLS = tuple(b(127 - j) for j in range(NB))
+_LFSR_CELLS = tuple(s(127 - j) for j in range(NS))
 
 # NFSR feedback: linear terms then the product terms, register indices
 _NFSR_LINEAR = (26, 56, 91, 96)

@@ -2,8 +2,12 @@
 
 A cycle program is the full micro-op sequence of one processing cycle: the
 cipher logic followed by every register's shift transfers under that cycle's
-plan row.  It is stored as runs of consecutive same-kind gates, each run one
-gate kind's kernel (see ``gates``) and the operand tuples it loops over.
+plan row.  The logic is stored as runs of consecutive same-kind gates, each
+run one gate kind's kernel (see ``gates``) and the operand tuples it loops
+over.  Each register's shift stage is one ``ShiftStage``, which runs as a
+single slice move over the register's contiguous cells; its ``ops`` expand
+the stage's buffer and inverter pulses, so ``CycleProgram.ops`` and
+``engine.execute`` remain the pulse-level reference and the trace path.
 The sequence does not depend on the key, IV or lane data, so one
 ``ProgramCache`` per cipher × mode, built when its first sim is created,
 holds every program, and all sims of that cipher × mode share it.  After
@@ -15,13 +19,95 @@ per program instead of accounting each cycle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .costs import PhaseCost
-from .engine import CellId, OperandError, TraceFn, execute
+from .engine import CellId, LayoutError, OperandError, TraceFn, execute
 from .gates import GATE_METRICS, GateKind, GateSpec
-from .shifting import Element, Mode, plan_to_fixed_point
+from .shifting import Mode, plan_to_fixed_point
+
+
+_INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
+
+
+@dataclass(frozen=True)
+class ShiftStage:
+    """One register's whole shift stage, run as one slice move.
+
+    ``cells`` are the register's cell ids in flow order (position 1 first);
+    ``flips[m - 1]`` is 1 where the transfer into position m is an inverter
+    and 0 where it is a buffer.  The stage's pulses (``ops``) run the
+    transfers oldest position first, each buffer through ``scratch``; its
+    net effect is the parallel move ``cell[m] <- cell[m - 1] XOR flip[m]``
+    with ``source`` injected at position 1 and ``scratch`` left holding NOT
+    the source of the last buffer emitted; ``run`` applies that effect.
+    """
+
+    cells: tuple[CellId, ...]
+    source: CellId
+    scratch: CellId
+    flips: bytes
+    _move: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cells, n = self.cells, len(self.cells)
+        if not n or len(self.flips) != n or any(f not in (0, 1) for f in self.flips):
+            raise LayoutError(f"shift stage: {len(self.flips)} flips for {n} cells")
+        if len({*cells, self.source, self.scratch}) != n + 2:
+            raise OperandError("shift stage: register, source and scratch cells must be distinct")
+        step = cells[1] - cells[0] if n > 1 else 1
+        if step not in (1, -1) or any(cell != cells[0] + i * step for i, cell in enumerate(cells)):
+            raise LayoutError("shift stage: register cells must be one contiguous range")
+        lo = min(cells)
+        # the n - 1 internal transfers as one move in physical order
+        dst, src = (slice(lo + 1, lo + n), slice(lo, lo + n - 1)) if step == 1 else (
+            slice(lo, lo + n - 1), slice(lo + 1, lo + n))
+        moves = self.flips[1:] if step == 1 else self.flips[:0:-1]
+        # the last buffer emitted is the one into the lowest buffered position
+        first = self.flips.find(0) + 1
+        last_buffer_src = None if not first else self.source if first == 1 else cells[first - 2]
+        move = (dst, src, n - 1, moves, int.from_bytes(moves, "big"),
+                self.source, self.flips[0], cells[0], last_buffer_src, self.scratch)
+        object.__setattr__(self, "_move", move)
+
+    @property
+    def census(self) -> list[tuple[GateKind, int]]:
+        """(kind, count) of its buffers and inverters, in order of first use."""
+        order = dict.fromkeys(self.flips[::-1])
+        kinds = (GateKind.BUFFER, GateKind.INVERTER)
+        return [(kinds[f], self.flips.count(f)) for f in order]
+
+    @property
+    def steps(self) -> int:
+        return 4 * len(self.flips) - 2 * sum(self.flips)
+
+    @property
+    def ops(self) -> list[tuple[CellId, CellId]]:
+        """The stage's (p, q) pulses: transfers from position N down to 1."""
+        cells, scratch = self.cells, self.scratch
+        ops = []
+        for m in range(len(cells), 0, -1):
+            src = cells[m - 2] if m > 1 else self.source
+            if self.flips[m - 1]:
+                ops += _INVERTER.ops((src, cells[m - 1]))
+            else:
+                ops += _BUFFER.ops((src, scratch, cells[m - 1]))
+        return ops
+
+    def run(self, c: list[int], full: int) -> None:
+        """Apply the stage's net effect in place."""
+        dst, src, n, moves, mask, source, inject_flip, head, last_buffer_src, scratch = self._move
+        injected = c[source] ^ full if inject_flip else c[source]
+        if last_buffer_src is not None:
+            c[scratch] = c[last_buffer_src] ^ full
+        if not mask:
+            c[dst] = c[src]
+        elif full == 1:
+            c[dst] = (int.from_bytes(bytearray(c[src]), "big") ^ mask).to_bytes(n, "big")
+        else:
+            c[dst] = [x ^ full if f else x for x, f in zip(c[src], moves)]
+        c[head] = injected
 
 
 # eq=False: programs are compared and hashed by identity, never by their runs
@@ -30,31 +116,30 @@ class CycleProgram:
     runs: tuple[tuple[GateSpec, tuple[tuple[CellId, ...], ...]], ...]  # (gate, operand tuples)
     census: tuple  # ((GateKind, tag), count) pairs
     steps: int
+    stages: tuple[ShiftStage, ...] = ()  # the shift stages, run after the logic
 
     def run(self, cells: list[int], full: int) -> None:
-        """Apply every pulse of the cycle in place, run by run."""
+        """Apply the cycle in place: the logic run by run, then each shift
+        stage as one move."""
         for spec, operands in self.runs:
             spec.kernel(cells, full, operands)
+        for stage in self.stages:
+            stage.run(cells, full)
 
     @property
     def ops(self) -> tuple[tuple[CellId, CellId], ...]:
         """The cycle's (p, q) op tuples in pulse order, for ``engine.execute``."""
-        return tuple(op for spec, operands in self.runs for x in operands for op in spec.ops(x))
+        logic = (op for spec, operands in self.runs for x in operands for op in spec.ops(x))
+        return (*logic, *(op for stage in self.stages for op in stage.ops))
 
 
 class ProgramBuilder:
-    """Accumulates gates and shift transfers into one compiled cycle."""
+    """Accumulates gates, then shift stages, into one compiled cycle."""
 
     def __init__(self):
         self._runs: list[tuple[GateSpec, list]] = []
+        self._stages: list[ShiftStage] = []
         self._census: Counter = Counter()
-
-    def _instance(self, kind: GateKind, operands: tuple) -> None:
-        spec = GATE_METRICS[kind]
-        if self._runs and self._runs[-1][0] is spec:
-            self._runs[-1][1].append(operands)
-        else:
-            self._runs.append((spec, [operands]))
 
     def gate(self, kind: GateKind, inputs, works, tag: str | None = None) -> CellId:
         """Append one gate instance on ``inputs`` then ``works``, which must
@@ -67,38 +152,29 @@ class ProgramBuilder:
             raise OperandError(f"{kind.value} needs {spec.works} work cells, got {len(works)}")
         if len(set(operands)) != len(operands):
             raise OperandError(f"{kind.value} operand/work cells must be distinct: {operands}")
-        if kind is GateKind.BUFFER:
-            # a buffer's pulses are two inverters, a -> w -> q, so a
-            # register's whole shift stage is one inverter run
-            a, w, q = operands
-            self._instance(GateKind.INVERTER, (a, w))
-            self._instance(GateKind.INVERTER, (w, q))
+        if self._stages:
+            raise LayoutError("a cycle's logic gates must precede its shift stages")
+        if self._runs and self._runs[-1][0] is spec:
+            self._runs[-1][1].append(operands)
         else:
-            self._instance(kind, operands)
+            self._runs.append((spec, [operands]))
         self._census[(kind, tag)] += 1
         return operands[spec.out]
 
-    def transfer(self, src: CellId, dst: CellId, element: Element, scratch: CellId, tag: str) -> None:
-        if element is Element.BUFFER:
-            self.gate(GateKind.BUFFER, (src,), (scratch, dst), tag)
-        else:
-            self.gate(GateKind.INVERTER, (src,), (dst,), tag)
-
     def shift_register(self, cells, source: CellId, elements, scratch: CellId, tag: str) -> None:
-        """Emit a whole register's transfers, oldest position first.
-
-        ``cells`` lists the register's physical cell ids in flow order
-        (position 1 first); ``elements`` is the plan row for this cycle.
-        """
-        n = len(cells)
-        for m in range(n, 1, -1):
-            self.transfer(cells[m - 2], cells[m - 1], elements[m - 1], scratch, tag)
-        self.transfer(source, cells[0], elements[0], scratch, tag)
+        """Append a register's shift stage under ``elements``, its plan row
+        for this cycle; ``cells`` are its contiguous cell ids in flow order
+        (position 1 first)."""
+        stage = ShiftStage(tuple(cells), source, scratch, bytes(elements))
+        self._stages.append(stage)
+        for kind, n in stage.census:
+            self._census[(kind, tag)] += n
 
     def compiled(self) -> CycleProgram:
         runs = tuple((spec, tuple(operands)) for spec, operands in self._runs)
         steps = sum(len(spec.pulses) * len(operands) for spec, operands in runs)
-        return CycleProgram(runs, tuple(self._census.items()), steps)
+        steps += sum(stage.steps for stage in self._stages)
+        return CycleProgram(runs, tuple(self._census.items()), steps, tuple(self._stages))
 
 
 class ProgramCache:
@@ -106,9 +182,9 @@ class ProgramCache:
 
     Programs are built for every cycle up to the shift plans' parity fixed
     point, one per distinct (phase, plan rows); later cycles repeat the last
-    one.  Every program's operand tuples are interned, so the programs share
-    one tuple per distinct operand tuple.  Neither plans nor build tables
-    are kept.
+    one.  Every program's operand tuples and shift stages are interned, so
+    the programs share one object per distinct operand tuple or stage.
+    Neither plans nor build tables are kept.
     """
 
     def __init__(self, sim: CipherSim, mode: Mode):
@@ -127,7 +203,8 @@ class ProgramCache:
                 runs = tuple(
                     (spec, tuple(interned.setdefault(x, x) for x in operands)) for spec, operands in built.runs
                 )
-                prog = by_rows[keystream, rows] = CycleProgram(runs, built.census, built.steps)
+                stages = tuple(interned.setdefault(stage, stage) for stage in built.stages)
+                prog = by_rows[keystream, rows] = CycleProgram(runs, built.census, built.steps, stages)
             return prog
 
         last_init = min(self.init_cycles, self.steady_from)

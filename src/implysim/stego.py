@@ -116,6 +116,10 @@ def capacity_bits(image: GrayImage) -> int:
 
 def check_capacity(image: GrayImage, n_bits: int) -> None:
     """Raise ``CapacityError`` unless ``n_bits`` payload bits fit the image."""
+    if image.pixel_count < HEADER_BITS:
+        raise CapacityError(
+            f"cover of {image.pixel_count} pixels cannot hold the {HEADER_BITS}-bit length header"
+        )
     if HEADER_BITS + n_bits > image.pixel_count:
         raise CapacityError(f"payload of {n_bits} bits exceeds capacity {capacity_bits(image)}")
 

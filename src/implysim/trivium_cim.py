@@ -58,9 +58,9 @@ def c(pos: int) -> int:
     return C0 + pos - 1
 
 
-_A_CELLS = [a(i) for i in range(1, A_LEN + 1)]
-_B_CELLS = [b(i) for i in range(1, B_LEN + 1)]
-_C_CELLS = [c(i) for i in range(1, C_LEN + 1)]
+_A_CELLS = tuple(a(i) for i in range(1, A_LEN + 1))
+_B_CELLS = tuple(b(i) for i in range(1, B_LEN + 1))
+_C_CELLS = tuple(c(i) for i in range(1, C_LEN + 1))
 
 
 def load_key_iv(key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:

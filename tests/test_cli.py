@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from implysim import costs, stego
-from implysim.cli import main
+from implysim.cli import build_parser, main
 from implysim.programs import CipherSim
 from implysim.shifting import Mode
 
@@ -46,6 +46,17 @@ def test_keystream_report_json_matches_closed_form(capsys, tmp_path):
     steps_cf, _ = costs.closed_form("trivium", Mode.PROPOSED, 64)
     assert report["total_steps"] == steps_cf
     assert report["mode"] == "proposed"
+
+
+def test_one_parser_serves_every_call_without_carrying_state(capsys):
+    # the parser is built once per process; a later call must not see an
+    # earlier call's options
+    assert build_parser() is build_parser()
+    argv = ["keystream", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T, "-n", "128"]
+    assert main([*argv, "--mode", "conventional", "--report", "json", "--format", "bits"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == PUBLISHED_FIRST_BYTES + "\n"
 
 
 def test_keystream_conventional_mode(capsys):
@@ -189,6 +200,21 @@ def test_stego_capacity_error(tmp_path, capsys):
     rc = main(["stego", "embed", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
                "--cover", str(cover), "--in", str(msg), "--stego", str(tmp_path / "s.pgm")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("size", ["0 0", "4 4"])
+def test_stego_cover_below_header_size_names_the_header(tmp_path, capsys, size):
+    width, height = map(int, size.split())
+    cover = tmp_path / "small.pgm"
+    cover.write_bytes(f"P5\n{size}\n255\n".encode() + bytes(width * height))
+    msg = tmp_path / "m.bin"
+    msg.write_bytes(b"")
+    rc = main(["stego", "embed", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
+               "--cover", str(cover), "--in", str(msg), "--stego", str(tmp_path / "s.pgm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cover of {width * height} pixels cannot hold the 32-bit length header\n"
+    assert not (tmp_path / "s.pgm").exists()
 
 
 def test_plan_trivium_a_steady_counts(capsys, tmp_path):

@@ -123,7 +123,7 @@ def test_every_kind_has_exactly_one_metrics_row():
 
 
 def test_buffer_template_is_two_inverters():
-    # the program builder runs a buffer as these two inverter halves
+    # a shift stage's buffer pulses are these two inverter halves
     inv = GATE_METRICS[GateKind.INVERTER]
     assert GATE_METRICS[GateKind.BUFFER].ops((0, 1, 2)) == inv.ops((0, 1)) + inv.ops((1, 2))
 

@@ -14,10 +14,12 @@ import pytest
 
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs
-from implysim.engine import CsvTrace, execute
+from implysim.engine import CsvTrace, LayoutError, OperandError, execute
+from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
+from implysim.programs import ProgramBuilder, ShiftStage
 from implysim.reference import grain128a_ref, grain_key_bits, trivium_ref
-from implysim.shifting import Mode
+from implysim.shifting import Element, Mode
 from implysim.trivium_cim import TriviumSim
 
 CIPHERS = {
@@ -106,6 +108,8 @@ def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
     # all programs of the cache
     operands = [x for prog in set(programs) for _spec, run in prog.runs for x in run]
     assert len({id(x) for x in operands}) == len(set(operands))
+    stages = [stage for prog in set(programs) for stage in prog.stages]
+    assert len({id(x) for x in stages}) == len(set(stages))
 
 
 def test_trace_sees_every_pulse_in_program_order():
@@ -128,7 +132,7 @@ def test_trace_sees_every_pulse_in_program_order():
     assert next(expected, None) is None
 
 
-@pytest.mark.parametrize("width", [1, 64])
+@pytest.mark.parametrize("width", [1, 64, 1024])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("cipher", list(CIPHERS))
 def test_program_runs_match_interpreted_ops(cipher, mode, width):
@@ -141,9 +145,66 @@ def test_program_runs_match_interpreted_ops(cipher, mode, width):
     for prog in programs:
         cells = [rng.getrandbits(width) for _ in sim.cells]
         expected = list(cells)
-        assert execute(expected, full, prog.ops) == prog.steps
-        prog.run(cells, full)
-        assert cells == expected
+        # three cycles in a row, so each starts from the previous one's state
+        for _ in range(3):
+            assert execute(expected, full, prog.ops) == prog.steps
+            prog.run(cells, full)
+            assert cells == expected
+
+
+def _row(kind, n, rng):
+    """A plan row of ``n`` flips (1 = inverter, 0 = buffer) of one kind."""
+    if kind == "random":
+        return bytes(rng.getrandbits(1) for _ in range(n))
+    if kind == "all-buffer":
+        return bytes(n)
+    if kind == "no-buffer":
+        return bytes([1] * n)
+    if kind == "buffer-only-at-1":
+        return bytes([0] + [1] * (n - 1))
+    return bytes([1] * (n - 1) + [0])  # buffer only at the oldest position
+
+
+@pytest.mark.parametrize("width", [1, 64, 1024])
+@pytest.mark.parametrize("kind", ["random", "all-buffer", "no-buffer", "buffer-only-at-1", "buffer-only-at-n"])
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_shift_stage_matches_interpreted_ops(descending, kind, width):
+    rng = random.Random(f"stage-{descending}-{kind}-{width}")
+    full = (1 << width) - 1
+    for n in (1, 2, 3, 17, 40):
+        for _ in range(4 if kind == "random" else 1):
+            # the register sits between untouched neighbours; the source and
+            # scratch cells lie on either side of it
+            base = 3
+            cells = tuple(range(base, base + n))
+            stage = ShiftStage(cells[::-1] if descending else cells, 1, base + n + 1, _row(kind, n, rng))
+            row = [rng.getrandbits(width) for _ in range(base + n + 3)]
+            expected = list(row)
+            ops = stage.ops
+            for _cycle in range(3):
+                assert execute(expected, full, ops) == len(ops) == stage.steps
+                stage.run(row, full)
+                assert row == expected
+                row[stage.source] = expected[stage.source] = rng.getrandbits(width)
+
+
+@pytest.mark.parametrize("cells", [(0, 1, 3), (0, 2, 4), (5, 4, 2), (2, 3, 1), (3, 2, 4)])
+def test_non_contiguous_register_is_rejected(cells):
+    with pytest.raises(LayoutError):
+        ProgramBuilder().shift_register(cells, 10, (Element.BUFFER,) * len(cells), 11, "r")
+
+
+def test_shift_stage_rejects_bad_operands():
+    pb = ProgramBuilder()
+    with pytest.raises(OperandError):  # the source inside the register
+        pb.shift_register((0, 1, 2), 1, (Element.BUFFER,) * 3, 11, "r")
+    with pytest.raises(OperandError):  # the scratch is the source
+        pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 3, 10, "r")
+    with pytest.raises(LayoutError):  # a row that does not fit the register
+        pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 2, 11, "r")
+    pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 3, 11, "r")
+    with pytest.raises(LayoutError):  # logic after the shift stages
+        pb.gate(GateKind.INVERTER, (3,), (4,))
 
 
 class _HashWriter:

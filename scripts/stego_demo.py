@@ -12,8 +12,6 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from implysim import stego
 from implysim.grain_cim import GrainSim
 from implysim.reference import xorcrypt
@@ -34,8 +32,7 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    img_rng = np.random.default_rng(args.seed)
-    cover = stego.GrayImage(img_rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
+    cover = stego.GrayImage(256, 256, random.Random(args.seed).randbytes(256 * 256))
 
     message = bytes(rng.getrandbits(8) for _ in range(args.bytes))
     bits = [(byte >> (7 - j)) & 1 for byte in message for j in range(8)]

@@ -1,6 +1,7 @@
 """LSB steganography over 8-bit grayscale images, with PSNR and histograms.
 
-Interchange format is binary PGM (P5, maxval 255).  Payload bits are
+Images hold their pixels as ``bytes``, one byte per pixel in row-major
+order.  Interchange format is binary PGM (P5, maxval 255).  Payload bits are
 embedded one per pixel LSB in row-major order from the top-left pixel,
 preceded by a 32-bit big-endian header holding the payload bit count so
 extraction is self-delimiting.
@@ -8,11 +9,10 @@ extraction is self-delimiting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO, Union
-
-import numpy as np
 
 from .reference import bits_to_bytes_msb_first, bytes_to_bits_msb_first
 
@@ -31,36 +31,27 @@ class CorruptPayloadError(ValueError):
     """Extraction header declares more bits than the image can hold."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale image; pixels stored row-major."""
+    """8-bit grayscale image; ``pixels`` holds one byte per pixel, row-major."""
 
-    pixels: np.ndarray  # uint8, shape (height, width)
+    width: int
+    height: int
+    pixels: bytes
 
     def __post_init__(self):
-        if self.pixels.ndim != 2 or self.pixels.dtype != np.uint8:
-            raise FormatError("pixels must be a 2-D uint8 array")
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+        if self.width < 0 or self.height < 0 or len(self.pixels) != self.width * self.height:
+            raise FormatError(f"{len(self.pixels)} pixels do not fill a {self.width}x{self.height} image")
 
     @property
     def pixel_count(self) -> int:
-        return self.pixels.size
-
-    def copy(self) -> "GrayImage":
-        return GrayImage(self.pixels.copy())
+        return len(self.pixels)
 
 
 def read_pgm(path: Union[str, Path]) -> GrayImage:
     """Bit-exact binary PGM (P5) reader; comments and maxval 255 only."""
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
+    if not (data.startswith(b"P5") and data[2:3].isspace()):
         raise FormatError("not a P5 (binary) PGM file")
     pos = 2
     fields = []
@@ -83,15 +74,12 @@ def read_pgm(path: Union[str, Path]) -> GrayImage:
     width, height, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
-        raise FormatError("PGM raster shorter than width*height")
-    return GrayImage(np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy())
+    return GrayImage(width, height, data[pos : pos + width * height])  # raises if short
 
 
 def write_pgm(image: GrayImage, path: Union[str, Path]) -> None:
     header = f"P5\n{image.width} {image.height}\n255\n".encode()
-    Path(path).write_bytes(header + image.pixels.tobytes())
+    Path(path).write_bytes(header + image.pixels)
 
 
 @dataclass
@@ -129,43 +117,38 @@ def embed_lsb(image: GrayImage, payload: StegoPayload) -> GrayImage:
     if any(bit not in (0, 1) for bit in bits):
         raise ValueError("payload must be 0/1 bits")
     check_capacity(image, len(bits))
-    header = [(len(bits) >> (31 - i)) & 1 for i in range(HEADER_BITS)]
-    stream = np.array(header + list(bits), dtype=np.uint8)
-    out = image.pixels.copy()
-    flat = out.reshape(-1)
-    flat[: stream.size] = (flat[: stream.size] & 0xFE) | stream
-    return GrayImage(out)
+    stream = [(len(bits) >> (31 - i)) & 1 for i in range(HEADER_BITS)] + list(bits)
+    out = bytearray(image.pixels)
+    out[: len(stream)] = bytes((pixel & 0xFE) | bit for pixel, bit in zip(out, stream))
+    return GrayImage(image.width, image.height, bytes(out))
 
 
 def extract_lsb(image: GrayImage) -> StegoPayload:
-    flat = image.pixels.reshape(-1)
-    if flat.size < HEADER_BITS:
+    pixels = image.pixels
+    if len(pixels) < HEADER_BITS:
         raise CorruptPayloadError("image too small to hold a header")
-    header = flat[:HEADER_BITS] & 1
     count = 0
-    for bit in header:
-        count = (count << 1) | int(bit)
-    if HEADER_BITS + count > flat.size:
+    for pixel in pixels[:HEADER_BITS]:
+        count = (count << 1) | (pixel & 1)
+    if HEADER_BITS + count > len(pixels):
         raise CorruptPayloadError(
             f"header declares {count} bits but image holds at most {capacity_bits(image)}"
         )
-    bits = flat[HEADER_BITS : HEADER_BITS + count] & 1
-    return StegoPayload([int(bit) for bit in bits])
+    return StegoPayload([pixel & 1 for pixel in pixels[HEADER_BITS : HEADER_BITS + count]])
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:
     """10*log10(255^2 / MSE); infinity for identical images."""
-    if a.pixels.shape != b.pixels.shape:
-        raise ValueError(f"dimension mismatch: {a.pixels.shape} vs {b.pixels.shape}")
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}")
+    sse = sum((x - y) * (x - y) for x, y in zip(a.pixels, b.pixels))
+    if sse == 0:
         return float("inf")
-    return 10.0 * float(np.log10(255.0**2 / mse))
+    return 10.0 * math.log10(255**2 * len(a.pixels) / sse)
 
 
 def histogram(image: GrayImage) -> list[int]:
-    return np.bincount(image.pixels.reshape(-1), minlength=256).tolist()
+    return [image.pixels.count(value) for value in range(256)]
 
 
 def write_histogram_csv(image: GrayImage, fileobj: TextIO) -> None:

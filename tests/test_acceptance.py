@@ -13,8 +13,6 @@ plan spends 32 more buffers (64 more steps) than the published one.
 import math
 import random
 
-import numpy as np
-
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs, stego
 from implysim.engine import FALSE_P, execute
@@ -375,8 +373,7 @@ def test_c7_polarity_invariant():
 
 
 def _stego_round_trip(cipher_ref, key, iv, message: bytes, seed: int):
-    img_rng = np.random.default_rng(seed)
-    cover = stego.GrayImage(img_rng.integers(0, 256, size=(256, 256), dtype=np.uint8))
+    cover = stego.GrayImage(256, 256, random.Random(seed).randbytes(256 * 256))
     msg_bits = [(byte >> (7 - j)) & 1 for byte in message for j in range(8)]
     ks = cipher_ref(key, iv, len(msg_bits))
     stego_img = stego.embed_lsb(cover, stego.StegoPayload(xorcrypt(msg_bits, ks)))

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import random
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from implysim import costs, stego
@@ -143,9 +146,8 @@ def test_crypt_wrong_key_does_not_decrypt(tmp_path, rng):
     assert dec.read_bytes() != data
 
 
-def _write_cover(path, seed=0, shape=(256, 256)):
-    rng = np.random.default_rng(seed)
-    img = stego.GrayImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+def _write_cover(path, seed=0, width=256, height=256):
+    img = stego.GrayImage(width, height, random.Random(seed).randbytes(width * height))
     stego.write_pgm(img, path)
     return img
 
@@ -192,9 +194,61 @@ def test_stego_extract_rejects_signed_pgm_dimensions(tmp_path, capsys):
     assert not (tmp_path / "rec.bin").exists()
 
 
+def test_stego_extract_rejects_magic_without_whitespace(tmp_path, capsys):
+    # "P51" is not "P5" followed by a header field; read as a prefix, the file
+    # would be a 1x1 image and fail later, for being too small
+    bad = tmp_path / "p51.pgm"
+    bad.write_bytes(b"P51 1\n255\n\x07")
+    rc = main(["stego", "extract", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
+               "--stego", str(bad), "--out", str(tmp_path / "rec.bin")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: not a P5 (binary) PGM file")
+    assert not (tmp_path / "rec.bin").exists()
+
+
+# sha256 of the stego PGM and the PSNR line for a fixed 32x32 cover, message,
+# key and IV: a change to the embedded bits or to PSNR rounding shows here
+PINNED_STEGO = {
+    "trivium": (KEY_T, IV_T, "PSNR: 57.552 dB",
+                "60e524175b0363cd473381e72b360601a583cd256f108b70c0e419ecdd3f1fa4"),
+    "grain128a": ("0123456789abcdef0123456789abcdef", "0123456789abcdef01234567", "PSNR: 57.128 dB",
+                  "a3ac84209ee9e05c07964ab8b9cf98058d475236111088e02a368acb6a743f73"),
+}
+
+
+@pytest.mark.parametrize("cipher", sorted(PINNED_STEGO))
+def test_stego_output_is_pinned(tmp_path, capsys, cipher):
+    key, iv, psnr_line, digest = PINNED_STEGO[cipher]
+    cover = tmp_path / "cover.pgm"
+    _write_cover(cover, seed=8, width=32, height=32)
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"same cover bytes, same PSNR")
+    stego_path = tmp_path / "stego.pgm"
+    recovered = tmp_path / "rec.bin"
+    common = ["--cipher", cipher, "--key", key, "--iv", iv]
+    assert main(["stego", "embed", *common, "--cover", str(cover), "--in", str(msg),
+                 "--stego", str(stego_path)]) == 0
+    assert capsys.readouterr().out.strip() == psnr_line
+    assert hashlib.sha256(stego_path.read_bytes()).hexdigest() == digest
+    assert main(["stego", "extract", *common, "--stego", str(stego_path), "--out", str(recovered)]) == 0
+    assert recovered.read_bytes() == msg.read_bytes()
+
+
+def test_cli_import_loads_only_stdlib():
+    # the package has no runtime dependencies: a fresh import of the CLI
+    # pulls in nothing outside the standard library and implysim itself
+    code = (
+        "import sys; before = set(sys.modules); import implysim.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'implysim'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_stego_capacity_error(tmp_path, capsys):
     cover = tmp_path / "tiny.pgm"
-    _write_cover(cover, shape=(8, 8))
+    _write_cover(cover, width=8, height=8)
     msg = tmp_path / "m.bin"
     msg.write_bytes(bytes(64))
     rc = main(["stego", "embed", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T,
@@ -290,7 +344,7 @@ def test_bad_key_leaves_no_trace_file(tmp_path, capsys):
 def _stego_inputs(tmp_path, payload_bits=16):
     """A cover, a message, and a stego image carrying a ``payload_bits`` payload."""
     cover = tmp_path / "cover.pgm"
-    img = _write_cover(cover, shape=(16, 16))
+    img = _write_cover(cover, width=16, height=16)
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"hi")
     stego_path = tmp_path / "stego.pgm"

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,9 +22,8 @@ from implysim.stego import (
 )
 
 
-def fixture_image(seed=0, shape=(256, 256)):
-    rng = np.random.default_rng(seed)
-    return GrayImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+def fixture_image(seed=0, width=256, height=256):
+    return GrayImage(width, height, random.Random(seed).randbytes(width * height))
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
@@ -32,7 +31,7 @@ def test_pgm_round_trip_bit_exact(tmp_path):
     path = tmp_path / "img.pgm"
     write_pgm(img, path)
     back = read_pgm(path)
-    assert np.array_equal(back.pixels, img.pixels)
+    assert back == img
 
 
 def test_pgm_header_with_comments(tmp_path):
@@ -41,7 +40,7 @@ def test_pgm_header_with_comments(tmp_path):
     path.write_bytes(raw)
     img = read_pgm(path)
     assert img.width == 4 and img.height == 2
-    assert img.pixels.tobytes() == bytes(range(8))
+    assert img.pixels == bytes(range(8))
 
 
 def test_pgm_rejects_bad_files(tmp_path):
@@ -55,6 +54,16 @@ def test_pgm_rejects_bad_files(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(FormatError):
         read_pgm(p)
+    # the magic must be followed by whitespace, not read as a prefix
+    p.write_bytes(b"P51 1\n255\n\x07")
+    with pytest.raises(FormatError):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("width, height, n", [(2, 2, 3), (2, 2, 5), (-2, -2, 4), (-1, 0, 0)])
+def test_gray_image_rejects_mismatched_pixels(width, height, n):
+    with pytest.raises(FormatError):
+        GrayImage(width, height, bytes(n))
 
 
 @pytest.mark.parametrize("dims", [b"-2 -2", b"+8 +8", b"8 +8"])
@@ -71,18 +80,18 @@ def test_embed_extract_round_trip_random_payload(rng):
     stego = embed_lsb(img, StegoPayload(bits))
     assert extract_lsb(stego).bits == bits
     # cover untouched
-    assert img.pixels[0, 0] == fixture_image(2).pixels[0, 0]
+    assert img.pixels == fixture_image(2).pixels
 
 
 def test_embed_changes_only_lsbs_and_at_most_header_plus_payload(rng):
     img = fixture_image(3)
     bits = [rng.randint(0, 1) for _ in range(1024)]
     stego = embed_lsb(img, StegoPayload(bits))
-    diff = stego.pixels.astype(int) - img.pixels.astype(int)
-    assert int(np.abs(diff).max()) <= 1
-    assert int((diff != 0).sum()) <= HEADER_BITS + 1024
-    changed = np.flatnonzero(diff.reshape(-1))
-    assert changed.size == 0 or changed.max() < HEADER_BITS + 1024
+    diff = [s - c for s, c in zip(stego.pixels, img.pixels)]
+    assert max(abs(d) for d in diff) <= 1
+    changed = [i for i, d in enumerate(diff) if d]
+    assert len(changed) <= HEADER_BITS + 1024
+    assert not changed or max(changed) < HEADER_BITS + 1024
 
 
 def test_embed_empty_and_full_capacity(rng):
@@ -97,38 +106,34 @@ def test_embed_empty_and_full_capacity(rng):
 
 def test_payload_matching_existing_lsbs_leaves_image_identical():
     img = fixture_image(5)
-    flat = img.pixels.reshape(-1)
-    bits = [int(v & 1) for v in flat[HEADER_BITS : HEADER_BITS + 64]]
+    bits = [v & 1 for v in img.pixels[HEADER_BITS : HEADER_BITS + 64]]
     header = [(64 >> (31 - i)) & 1 for i in range(32)]
-    base = img.copy()
-    base.pixels.reshape(-1)[:32] = (flat[:32] & 0xFE) | np.array(header, dtype=np.uint8)
+    head = bytes((v & 0xFE) | h for v, h in zip(img.pixels, header))
+    base = GrayImage(img.width, img.height, head + img.pixels[32:])
     stego = embed_lsb(base, StegoPayload(bits))
-    assert np.array_equal(stego.pixels, base.pixels)
+    assert stego.pixels == base.pixels
     assert psnr(base, stego) == float("inf")
 
 
 def test_corrupt_header_rejected():
-    img = GrayImage(np.zeros((16, 16), dtype=np.uint8))
     # header claims 2^20 bits
-    flat = img.pixels.reshape(-1)
     count = 1 << 20
-    for i in range(32):
-        flat[i] |= (count >> (31 - i)) & 1
+    header = bytes((count >> (31 - i)) & 1 for i in range(32))
+    img = GrayImage(16, 16, header + bytes(16 * 16 - 32))
     with pytest.raises(CorruptPayloadError):
         extract_lsb(img)
     with pytest.raises(CorruptPayloadError):
-        extract_lsb(GrayImage(np.zeros((4, 4), dtype=np.uint8)))
+        extract_lsb(GrayImage(4, 4, bytes(16)))
 
 
 def test_psnr_reference_points():
-    img = GrayImage(np.full((256, 256), 128, dtype=np.uint8))
+    img = GrayImage(256, 256, bytes([128]) * (256 * 256))
     assert psnr(img, img) == float("inf")
-    other = img.copy()
-    other.pixels[0, 0] = 129  # single pixel off by one
+    other = GrayImage(256, 256, bytes([129]) + img.pixels[1:])  # single pixel off by one
     value = psnr(img, other)
     assert abs(value - 96.30) < 0.01
-    black = GrayImage(np.zeros((8, 8), dtype=np.uint8))
-    white = GrayImage(np.full((8, 8), 255, dtype=np.uint8))
+    black = GrayImage(8, 8, bytes(64))
+    white = GrayImage(8, 8, bytes([255]) * 64)
     assert psnr(black, white) == 0.0
     with pytest.raises(ValueError):
         psnr(black, img)
@@ -149,19 +154,19 @@ def test_histogram_properties(rng):
     h = histogram(img)
     assert len(h) == 256
     assert sum(h) == img.pixel_count
-    uniform = GrayImage(np.full((32, 32), 77, dtype=np.uint8))
+    uniform = GrayImage(32, 32, bytes([77]) * 1024)
     hu = histogram(uniform)
     assert hu[77] == 1024 and sum(hu) == 1024
 
     bits = [rng.randint(0, 1) for _ in range(2048)]
     stego = embed_lsb(img, StegoPayload(bits))
     hs = histogram(stego)
-    flips = int((stego.pixels != img.pixels).sum())
+    flips = sum(s != c for s, c in zip(stego.pixels, img.pixels))
     assert sum(abs(x - y) for x, y in zip(h, hs)) <= 2 * flips
 
 
 def test_histogram_csv(tmp_path):
-    img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
+    img = GrayImage(2, 2, bytes(4))
     out = tmp_path / "h.csv"
     with open(out, "w") as f:
         write_histogram_csv(img, f)
@@ -182,7 +187,7 @@ def test_payload_bytes_round_trip():
 @settings(max_examples=25, deadline=None)
 @given(st.binary(min_size=0, max_size=256))
 def test_embed_extract_inverse_property(data):
-    img = fixture_image(8, shape=(64, 64))
+    img = fixture_image(8, width=64, height=64)
     payload = StegoPayload.from_bytes(data)
     recovered = extract_lsb(embed_lsb(img, payload))
     assert recovered.to_bytes() == data

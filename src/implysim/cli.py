@@ -123,20 +123,22 @@ def cmd_stego(args) -> int:
         message = bytes_to_bits_msb_first(data)
         stego.check_capacity(cover, len(message))
         sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
-        _check_output(args.stego)
+        _check_output(args.stego, args.report_out)
         ks = sim.keystream(len(message))
         payload = stego.StegoPayload([m ^ k for m, k in zip(message, ks)])
         image = stego.embed_lsb(cover, payload)
         stego.write_pgm(image, args.stego)
         print(f"PSNR: {stego.psnr(cover, image):.3f} dB")
-        return 0
-    image = stego.read_pgm(args.stego)
-    payload = stego.extract_lsb(image)
-    sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
-    _check_output(args.out)
-    ks = sim.keystream(len(payload.bits))
-    plain = stego.StegoPayload([c ^ k for c, k in zip(payload.bits, ks)])
-    Path(args.out).write_bytes(plain.to_bytes())
+    else:
+        image = stego.read_pgm(args.stego)
+        payload = stego.extract_lsb(image)
+        sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+        _check_output(args.out, args.report_out)
+        ks = sim.keystream(len(payload.bits))
+        plain = stego.StegoPayload([c ^ k for c, k in zip(payload.bits, ks)])
+        Path(args.out).write_bytes(plain.to_bytes())
+    if args.report:
+        _emit_report(sim, args.report, args.report_out)
     return 0
 
 
@@ -232,6 +234,8 @@ def main(argv=None) -> int:
             parser.error("stego embed requires --cover and --in")
         if args.action == "extract" and not args.out:
             parser.error("stego extract requires --out")
+    if getattr(args, "report_out", None) and not args.report:
+        parser.error("--report-out requires --report")
     try:
         return args.fn(args)
     except (InputError, stego.CapacityError, stego.FormatError, stego.CorruptPayloadError, OSError) as e:

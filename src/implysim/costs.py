@@ -3,49 +3,22 @@
 Energy is tracked in integer units of 1e-4 nJ per gate instance so that
 totals are exact; reports print microjoules at four decimals, matching the
 published tables' print precision.  The closed forms keep the published
-coefficients exactly as printed, alongside the internally consistent
-per-cycle constants measured from simulation -- the two differ where the
-published bookkeeping slips (see ``compare``).
+coefficients exactly as printed, alongside the simulated forms derived from
+the cached cycle programs -- the two differ where the published bookkeeping
+slips (see ``compare``).  ``PhaseCost`` lives in ``programs``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .gates import GATE_METRICS
+from .grain_cim import GrainSim
+from .programs import AccountingError, PhaseCost, programs_for
 from .shifting import Mode
-
-
-class AccountingError(ValueError):
-    """A census fails validation, or a cost comparison is not defined."""
-
-
-@dataclass
-class PhaseCost:
-    """Cycles, executed steps and gate census of a run of cycles."""
-
-    cycles: int
-    steps: int
-    census: dict  # (GateKind, tag) -> count
-
-    @property
-    def energy_e4(self) -> int:
-        return sum(GATE_METRICS[kind].energy_e4 * n for (kind, _tag), n in self.census.items())
-
-    @property
-    def energy_nj(self) -> float:
-        return self.energy_e4 / 1e4
-
-    @property
-    def energy_uj(self) -> float:
-        return self.energy_e4 / 1e7
-
-    def validate(self) -> None:
-        derived = sum(GATE_METRICS[kind].steps * n for (kind, _t), n in self.census.items())
-        if derived != self.steps:
-            raise AccountingError(f"census steps {derived} != executed steps {self.steps}")
+from .trivium_cim import TriviumSim
 
 
 @dataclass
@@ -115,33 +88,18 @@ PUBLISHED_FORMS: dict[tuple[str, Mode], dict] = {
     ("grain128a", Mode.PROPOSED): {"steps": (942, 245830), "energy_e5uj": (6660, 1768110)},
 }
 
-#: per-cycle constants measured from the simulator (steps slope includes the
-#: cycle's logic; intercept is the simulated warm-up total).  These are the
-#: self-consistent counterparts of the published curves.  The Grain proposed
-#: intercept is 64 above the published one because the published NFSR census
-#: leaves tap b96 unprotected during pre-init (32 buffers short).
-SIMULATED_FORMS: dict[tuple[str, Mode], dict] = {
-    ("trivium", Mode.CONVENTIONAL): {"steps": (1266, 1437696), "energy_e4nj": (867905, 982717056)},
-    ("trivium", Mode.PROPOSED): {"steps": (710, 797266), "energy_e4nj": (478983, 534736271)},
-    ("grain128a", Mode.CONVENTIONAL): {"steps": (1402, 363520), "energy_e4nj": (997801, 259239168)},
-    ("grain128a", Mode.PROPOSED): {"steps": (942, 245894), "energy_e4nj": (676031, 176959781)},
-}
-
-
 @dataclass(frozen=True)
 class ClosedForm:
-    cipher: str
-    mode: Mode
     steps_slope: int
     steps_intercept: int
-    energy_slope_e5uj: int
-    energy_intercept_e5uj: int
+    energy_slope_e4: int  # energy in 1e-4 nJ, the unit of PhaseCost.energy_e4
+    energy_intercept_e4: int
 
     def steps(self, n: int) -> int:
         return self.steps_slope * n + self.steps_intercept
 
     def energy_uj(self, n: int) -> float:
-        return (self.energy_slope_e5uj * n + self.energy_intercept_e5uj) / 1e5
+        return (self.energy_slope_e4 * n + self.energy_intercept_e4) / 1e7
 
 
 def closed_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
@@ -157,15 +115,29 @@ def get_closed_form(cipher: str, mode: Mode) -> ClosedForm:
         row = PUBLISHED_FORMS[(cipher, mode)]
     except KeyError:
         raise AccountingError(f"no closed form for {cipher}/{mode.value}") from None
-    return ClosedForm(cipher, mode, *row["steps"], *row["energy_e5uj"])
+    # 1e-5 uJ is exactly 100 units of 1e-4 nJ
+    return ClosedForm(*row["steps"], *(100 * e for e in row["energy_e5uj"]))
 
 
 def simulated_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
-    """(steps, energy uJ) from the measured per-cycle constants."""
-    row = SIMULATED_FORMS[(cipher, mode)]
-    slope, intercept = row["steps"]
-    e_slope, e_intercept = row["energy_e4nj"]
-    return slope * n + intercept, (e_slope * n + e_intercept) / 1e7
+    """(steps, energy uJ) for n keystream bits, as the simulator runs them."""
+    form = _simulated(cipher, mode)
+    return form.steps(n), form.energy_uj(n)
+
+
+@functools.cache
+def _simulated(cipher: str, mode: Mode) -> ClosedForm:
+    """Slope: the steady keystream program.  Intercept: the programs of every
+    cycle through its first run, summed cycle by cycle, less n * slope."""
+    cls = {sim.CIPHER: sim for sim in (TriviumSim, GrainSim)}[cipher]
+    programs = programs_for(cls, mode)
+    steady_at = max(cls.INIT_CYCLES + 1, programs.steady_from)
+    steps = energy = 0
+    for prog in map(programs.program, range(1, steady_at + 1)):
+        slope = PhaseCost(1, prog.steps, dict(prog.census))  # the steady program after the last cycle
+        steps, energy = steps + slope.steps, energy + slope.energy_e4
+    n = steady_at - cls.INIT_CYCLES  # keystream cycles summed, the steady one last
+    return ClosedForm(slope.steps, steps - n * slope.steps, slope.energy_e4, energy - n * slope.energy_e4)
 
 
 def compare(report: CostReport, n: Optional[int] = None) -> dict:
@@ -211,7 +183,7 @@ def improvement_ratios() -> dict:
         prop = get_closed_form(cipher, Mode.PROPOSED)
         out[cipher] = {
             "steps_reduction": 1 - prop.steps_slope / conv.steps_slope,
-            "energy_reduction": 1 - prop.energy_slope_e5uj / conv.energy_slope_e5uj,
+            "energy_reduction": 1 - prop.energy_slope_e4 / conv.energy_slope_e4,
         }
     return out
 
@@ -229,7 +201,7 @@ def closed_form_table(ns=(10000, 100000)) -> str:
                 f"{cipher} ({mode.value})",
                 f"{form.steps_slope}*n+{form.steps_intercept}",
                 *[str(form.steps(n)) for n in ns],
-                f"{form.energy_slope_e5uj / 1e5}*n+{form.energy_intercept_e5uj / 1e5}",
+                f"{form.energy_slope_e4 / 1e7}*n+{form.energy_intercept_e4 / 1e7}",
                 *[f"{form.energy_uj(n):.4f}" for n in ns],
             ]
         )

@@ -119,6 +119,34 @@ class _Pool:
             self.free.append(cell)
 
 
+def _xor_fold(pb, pool, term, acc):
+    """acc' = term XOR acc, destroying only the old accumulator."""
+    wx, wy = pool.alloc(), pool.alloc()
+    out = pb.gate(GateKind.XOR2_DESTRUCTIVE, (term, acc), (wx, wy))
+    pool.release(acc, wy)
+    return out
+
+
+def _xor_chain(pb, pool, terms):
+    """XOR of register cells: non-destructive first pair, then folds."""
+    w1, w2, w3 = pool.alloc(), pool.alloc(), pool.alloc()
+    acc = pb.gate(GateKind.XOR2_NONDESTRUCTIVE, terms[:2], (w1, w2, w3))
+    pool.release(w2, w3)
+    for t in terms[2:]:
+        acc = _xor_fold(pb, pool, t, acc)
+    return acc
+
+
+def _product_into(pb, pool, kind, cells, acc):
+    u, v = pool.alloc(), pool.alloc()
+    prod = pb.gate(kind, cells, (u, v))
+    pool.release(u)
+    wx, wy = pool.alloc(), pool.alloc()
+    out = pb.gate(GateKind.XOR2_DESTRUCTIVE, (prod, acc), (wx, wy))
+    pool.release(acc, v, wy)
+    return out
+
+
 class GrainSim(CipherSim):
     """One Grain-128a instance on the array; lanes advance in lockstep."""
 
@@ -129,32 +157,8 @@ class GrainSim(CipherSim):
     OUT = OUT
     load_key_iv = staticmethod(load_key_iv)
 
-    def _xor_fold(self, pb, pool, term, acc):
-        """acc' = term XOR acc, destroying only the old accumulator."""
-        wx, wy = pool.alloc(), pool.alloc()
-        out = pb.gate(GateKind.XOR2_DESTRUCTIVE, (term, acc), (wx, wy))
-        pool.release(acc, wy)
-        return out
-
-    def _xor_chain(self, pb, pool, terms):
-        """XOR of register cells: non-destructive first pair, then folds."""
-        w1, w2, w3 = pool.alloc(), pool.alloc(), pool.alloc()
-        acc = pb.gate(GateKind.XOR2_NONDESTRUCTIVE, terms[:2], (w1, w2, w3))
-        pool.release(w2, w3)
-        for t in terms[2:]:
-            acc = self._xor_fold(pb, pool, t, acc)
-        return acc
-
-    def _product_into(self, pb, pool, kind, cells, acc):
-        u, v = pool.alloc(), pool.alloc()
-        prod = pb.gate(kind, cells, (u, v))
-        pool.release(u)
-        wx, wy = pool.alloc(), pool.alloc()
-        out = pb.gate(GateKind.XOR2_DESTRUCTIVE, (prod, acc), (wx, wy))
-        pool.release(acc, v, wy)
-        return out
-
-    def _build_cycle(self, keystream: bool, rows) -> CycleProgram:
+    @staticmethod
+    def _build_cycle(keystream: bool, rows) -> CycleProgram:
         pb = ProgramBuilder()
         pool = _Pool(W)
         # h(x): four pairwise products plus one triple, XOR-chained
@@ -167,11 +171,11 @@ class GrainSim(CipherSim):
             (GateKind.AND2, (s(60), s(79))),
             (GateKind.AND3, (b(12), b(95), s(94))),
         ):
-            h = self._product_into(pb, pool, kind, cells, h)
+            h = _product_into(pb, pool, kind, cells, h)
         # output function's NFSR sum
-        bsum = self._xor_chain(pb, pool, [b(i) for i in _Y_NFSR_TERMS])
+        bsum = _xor_chain(pb, pool, [b(i) for i in _Y_NFSR_TERMS])
         # y = h XOR s93 XOR bsum, landing in the output cell when emitted
-        y1 = self._xor_fold(pb, pool, s(93), h)
+        y1 = _xor_fold(pb, pool, s(93), h)
         if keystream:
             wy = pool.alloc()
             y = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y1, bsum), (OUT, wy))
@@ -181,11 +185,11 @@ class GrainSim(CipherSim):
             y = pb.gate(GateKind.XOR2_DESTRUCTIVE, (y1, bsum), (wx, wy))
             pool.release(y1, bsum, wy)
         # LFSR feedback
-        fl = self._xor_chain(pb, pool, [s(i) for i in _LFSR_TERMS])
+        fl = _xor_chain(pb, pool, [s(i) for i in _LFSR_TERMS])
         # NFSR feedback: linear part then the ten products
-        fn = self._xor_chain(pb, pool, [s(0), b(0)] + [b(i) for i in _NFSR_LINEAR])
+        fn = _xor_chain(pb, pool, [s(0), b(0)] + [b(i) for i in _NFSR_LINEAR])
         for kind, idx in _NFSR_PRODUCTS:
-            fn = self._product_into(pb, pool, kind, tuple(b(i) for i in idx), fn)
+            fn = _product_into(pb, pool, kind, tuple(b(i) for i in idx), fn)
         if not keystream:
             # output feedback into both register inputs
             wx, wy = pool.alloc(), pool.alloc()

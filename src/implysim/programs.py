@@ -9,7 +9,7 @@ single slice move over the register's contiguous cells; its ``ops`` expand
 the stage's buffer and inverter pulses, so ``CycleProgram.ops`` and
 ``engine.execute`` remain the pulse-level reference and the trace path.
 The sequence does not depend on the key, IV or lane data, so one
-``ProgramCache`` per cipher × mode, built when its first sim is created,
+``ProgramCache`` per cipher × mode, built by ``programs_for`` on first use,
 holds every program, and all sims of that cipher × mode share it.  After
 the plans' transitional prefix every cycle of a phase runs the same program,
 so ``CipherSim`` runs those cycles as one segment and keeps one run count
@@ -18,17 +18,47 @@ per program instead of accounting each cycle.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .costs import PhaseCost
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
 from .gates import GATE_METRICS, GateKind, GateSpec
 from .shifting import Mode, plan_to_fixed_point
 
 
 _INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
+
+
+class AccountingError(ValueError):
+    """A census fails validation, or a cost comparison is not defined."""
+
+
+@dataclass
+class PhaseCost:
+    """Cycles, executed steps and gate census of a run of cycles."""
+
+    cycles: int
+    steps: int
+    census: dict  # (GateKind, tag) -> count
+
+    @property
+    def energy_e4(self) -> int:
+        return sum(GATE_METRICS[kind].energy_e4 * n for (kind, _tag), n in self.census.items())
+
+    @property
+    def energy_nj(self) -> float:
+        return self.energy_e4 / 1e4
+
+    @property
+    def energy_uj(self) -> float:
+        return self.energy_e4 / 1e7
+
+    def validate(self) -> None:
+        derived = sum(GATE_METRICS[kind].steps * n for (kind, _t), n in self.census.items())
+        if derived != self.steps:
+            raise AccountingError(f"census steps {derived} != executed steps {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +110,7 @@ class ShiftStage:
 
     @property
     def steps(self) -> int:
-        return 4 * len(self.flips) - 2 * sum(self.flips)
+        return sum(GATE_METRICS[kind].steps * n for kind, n in self.census)
 
     @property
     def ops(self) -> list[tuple[CellId, CellId]]:
@@ -178,7 +208,7 @@ class ProgramBuilder:
 
 
 class ProgramCache:
-    """The cycle programs of one cipher × mode, built by its first sim.
+    """The cycle programs of one sim class × mode.
 
     Programs are built for every cycle up to the shift plans' parity fixed
     point, one per distinct (phase, plan rows); later cycles repeat the last
@@ -187,11 +217,11 @@ class ProgramCache:
     Neither plans nor build tables are kept.
     """
 
-    def __init__(self, sim: CipherSim, mode: Mode):
-        plans = [plan_to_fixed_point(layout, mode) for layout in sim.LAYOUTS.values()]
+    def __init__(self, cls: type[CipherSim], mode: Mode):
+        plans = [plan_to_fixed_point(layout, mode) for layout in cls.LAYOUTS.values()]
         #: first cycle from which every register repeats its steady row
         self.steady_from = 1 + max(len(plan.prefix) for plan in plans)
-        self.init_cycles = sim.INIT_CYCLES
+        self.init_cycles = cls.INIT_CYCLES
         interned: dict[tuple, tuple] = {}
         by_rows: dict = {}
 
@@ -199,7 +229,7 @@ class ProgramCache:
             rows = tuple(plan.elements(cycle) for plan in plans)
             prog = by_rows.get((keystream, rows))
             if prog is None:
-                built = sim._build_cycle(keystream, rows)
+                built = cls._build_cycle(keystream, rows)
                 runs = tuple(
                     (spec, tuple(interned.setdefault(x, x) for x in operands)) for spec, operands in built.runs
                 )
@@ -219,8 +249,10 @@ class ProgramCache:
         return self._keystream[min(cycle - self.init_cycles, len(self._keystream)) - 1]
 
 
-#: (sim class, mode) -> its shared cache, created by the first sim
-_CACHES: dict[tuple[type, Mode], ProgramCache] = {}
+@functools.cache
+def programs_for(cls: type[CipherSim], mode: Mode) -> ProgramCache:
+    """The one program cache of ``cls`` × ``mode``, built on first use."""
+    return ProgramCache(cls, mode)
 
 
 class Phase:
@@ -258,7 +290,7 @@ class CipherSim:
 
     A cipher supplies ``CIPHER``, ``INIT_CYCLES``, ``MEMRISTORS``,
     ``LAYOUTS`` (its registers in plan-row order), the output cell ``OUT``,
-    ``load_key_iv(key, iv, width)`` and ``_build_cycle(keystream, rows)``.
+    ``load_key_iv(key, iv, width)`` and the static ``_build_cycle(keystream, rows)``.
     """
 
     CIPHER: str
@@ -281,20 +313,9 @@ class CipherSim:
         self.cells = self.load_key_iv(key, iv, width)
         self.cycle = 0  # completed cycles, 1-based during execution
         self.trace = trace
-        cls = type(self)
-        programs = _CACHES.get((cls, mode))
-        if programs is None:
-            programs = _CACHES[cls, mode] = ProgramCache(self, mode)
-        self._programs = programs
+        self._programs = programs_for(type(self), mode)
         self.init = Phase()
         self.keystream_phase = Phase()
-
-    @property
-    def phase(self) -> str:
-        return "init" if self.cycle < self.INIT_CYCLES else "keystream"
-
-    def _cycle_program(self, cycle: int) -> CycleProgram:
-        return self._programs.program(cycle)
 
     def _segment(self, n: int, out: list[int]) -> CycleProgram:
         """Run the next ``n`` cycles, which must share one program; in the
@@ -305,7 +326,7 @@ class CipherSim:
         pulse reaches the trace with its step index.
         """
         first = self.cycle + 1
-        prog = self._cycle_program(first)
+        prog = self._programs.program(first)
         keystream = first > self.INIT_CYCLES
         cells, full, trace, out_cell = self.cells, self.full, self.trace, self.OUT
         if trace is not None:

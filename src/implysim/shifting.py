@@ -97,6 +97,8 @@ class ShiftPlan:
 
     def with_element(self, cycle: int, transfer: int, element: Element) -> "ShiftPlan":
         """Copy of the plan with one transfer overridden (test hook)."""
+        if cycle < 1:
+            raise ValueError("cycles are 1-based")
         if not (1 <= transfer <= self.length):
             raise ValueError(f"transfer {transfer} out of range")
         upto = max(cycle, len(self.prefix))

@@ -92,7 +92,8 @@ class TriviumSim(CipherSim):
     OUT = OUT
     load_key_iv = staticmethod(load_key_iv)
 
-    def _build_cycle(self, keystream: bool, rows) -> CycleProgram:
+    @staticmethod
+    def _build_cycle(keystream: bool, rows) -> CycleProgram:
         pb = ProgramBuilder()
         s0, s1, s2, s3, s4 = S
         x = GateKind.XOR2_DESTRUCTIVE

@@ -172,6 +172,43 @@ def test_stego_embed_extract_round_trip(tmp_path, capsys, rng):
     assert recovered.read_bytes() == data
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_stego_reports_cost_of_the_payload(tmp_path, capsys, mode):
+    cover, msg, _ = _stego_inputs(tmp_path)
+    stego_path, recovered = tmp_path / "s.pgm", tmp_path / "rec.bin"
+    common = ["--cipher", "grain128a", "--mode", mode.value, "--key", KEY_G, "--iv", IV_G]
+    payload_bits = 8 * len(msg.read_bytes())
+    expected_steps, _ = costs.simulated_form("grain128a", mode, payload_bits)
+    rc = main(["stego", "embed", *common, "--cover", str(cover), "--in", str(msg), "--stego", str(stego_path),
+               "--report", "json", "--report-out", str(tmp_path / "embed.json")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PSNR: ")
+    assert json.loads((tmp_path / "embed.json").read_text())["total_steps"] == expected_steps
+    rc = main(["stego", "extract", *common, "--stego", str(stego_path), "--out", str(recovered),
+               "--report", "json"])
+    assert rc == 0
+    assert recovered.read_bytes() == msg.read_bytes()
+    assert json.loads(capsys.readouterr().out)["total_steps"] == expected_steps
+
+
+@pytest.mark.parametrize("command", ["keystream", "crypt", "stego"])
+def test_report_out_requires_report(tmp_path, capsys, command):
+    cover, msg, _ = _stego_inputs(tmp_path)
+    common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T, "--report-out", str(tmp_path / "r.json")]
+    argv = {
+        "keystream": ["keystream", *common, "-n", "8"],
+        "crypt": ["crypt", *common, "--in", str(msg), "--out", str(tmp_path / "out.bin")],
+        "stego": ["stego", "embed", *common, "--cover", str(cover), "--in", str(msg),
+                  "--stego", str(tmp_path / "s.pgm")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--report-out requires --report" in capsys.readouterr().err
+    # nothing ran: only the inputs are there
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cover.pgm", "msg.bin", "stego.pgm"]
+
+
 def test_stego_rejects_non_pgm(tmp_path, capsys):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"\x89PNG....")
@@ -352,18 +389,25 @@ def _stego_inputs(tmp_path, payload_bits=16):
     return cover, msg, stego_path
 
 
-@pytest.mark.parametrize("command", ["keystream", "crypt", "embed", "extract"])
+@pytest.mark.parametrize(
+    "command", ["keystream", "crypt", "embed", "extract", "embed-report-out", "extract-report-out"]
+)
 def test_output_in_missing_directory_fails_before_keystream(tmp_path, capsys, monkeypatch, command):
     calls = []
     monkeypatch.setattr(CipherSim, "keystream", lambda sim, n: calls.append(n) or [0] * n)
     cover, msg, stego_path = _stego_inputs(tmp_path)
     missing = tmp_path / "missing" / "out"
     common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T]
+    report = ["--report", "json", "--report-out", str(missing)]
     argv = {
         "keystream": ["keystream", *common, "-n", "8", "--out", str(missing)],
         "crypt": ["crypt", *common, "--in", str(msg), "--out", str(missing)],
         "embed": ["stego", "embed", *common, "--cover", str(cover), "--in", str(msg), "--stego", str(missing)],
         "extract": ["stego", "extract", *common, "--stego", str(stego_path), "--out", str(missing)],
+        "embed-report-out": ["stego", "embed", *common, "--cover", str(cover), "--in", str(msg),
+                             "--stego", str(tmp_path / "new.pgm"), *report],
+        "extract-report-out": ["stego", "extract", *common, "--stego", str(stego_path),
+                               "--out", str(tmp_path / "rec.bin"), *report],
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")

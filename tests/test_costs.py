@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +38,20 @@ PUBLISHED_POINTS = [
 ]
 
 
+# the simulator's closed forms, pinned by hand as a reference independent of
+# the programs they are derived from: steps (slope, intercept) and energy in
+# 1e-4 nJ (slope, intercept).  The conventional slopes carry the per-cycle
+# logic the published ones omit; the Grain proposed intercept is 64 above the
+# published one because the published NFSR census leaves tap b96 unprotected
+# during pre-init (32 buffers short).
+PINNED_SIMULATED_FORMS = {
+    ("trivium", Mode.CONVENTIONAL): ((1266, 1437696), (867905, 982717056)),
+    ("trivium", Mode.PROPOSED): ((710, 797266), (478983, 534736271)),
+    ("grain128a", Mode.CONVENTIONAL): ((1402, 363520), (997801, 259239168)),
+    ("grain128a", Mode.PROPOSED): ((942, 245894), (676031, 176959781)),
+}
+
+
 @pytest.mark.parametrize("cipher,mode,n,steps,energy", PUBLISHED_POINTS)
 def test_closed_form_published_points(cipher, mode, n, steps, energy):
     got_steps, got_energy = closed_form(cipher, mode, n)
@@ -63,6 +79,30 @@ def test_simulated_form_matches_simulation(rng, cipher, cls, klen, ivlen, mode):
     steps, energy_uj = simulated_form(cipher, mode, n)
     assert report.total_steps == steps
     assert abs(report.total_energy_uj - energy_uj) < 1e-9
+
+
+@pytest.mark.parametrize("n", [0, 1, 10000])
+@pytest.mark.parametrize("cipher,mode", list(PINNED_SIMULATED_FORMS), ids=lambda x: getattr(x, "value", x))
+def test_simulated_form_matches_pinned_literals(cipher, mode, n):
+    (slope, intercept), (e_slope, e_intercept) = PINNED_SIMULATED_FORMS[cipher, mode]
+    assert simulated_form(cipher, mode, n) == (slope * n + intercept, (e_slope * n + e_intercept) / 1e7)
+
+
+def test_importing_the_cli_builds_no_program():
+    # the simulated forms are derived on first use, so importing the CLI in a
+    # fresh interpreter creates no program cache and runs no _build_cycle;
+    # building one sim afterwards shows that the probe sees both
+    code = (
+        "import sys; built = []; sys.setprofile(lambda frame, event, arg: event == 'call'"
+        " and frame.f_code.co_name == '_build_cycle' and built.append(1)); "
+        "import implysim.cli; from implysim.programs import programs_for; "
+        "print(programs_for.cache_info().currsize, len(built)); "
+        "sim = implysim.cli.trivium_cim.TriviumSim([0] * 80, [0] * 80); sys.setprofile(None); "
+        "print(programs_for.cache_info().currsize, len(built) > 0,"
+        " programs_for(type(sim), sim.mode) is sim._programs)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["0 0", "1 True True"]
 
 
 def test_compare_trivium_proposed_steps_exact(rng):

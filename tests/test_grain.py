@@ -126,7 +126,7 @@ def test_logic_stage_preserves_every_register_cell(rng):
     # operands are always scratch accumulators
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     sim.keystream(3)
-    prog = sim._cycle_program(sim.cycle + 1)
+    prog = sim._programs.program(sim.cycle + 1)
     before = list(sim.cells)
     cells = list(sim.cells)
     from implysim.engine import execute

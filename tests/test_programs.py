@@ -102,8 +102,8 @@ def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
     first, second = sims
     assert first._programs is second._programs
     cycles = range(1, first.cycle + 1)
-    programs = [first._cycle_program(t) for t in cycles]
-    assert all(prog is second._cycle_program(t) for t, prog in zip(cycles, programs))
+    programs = [first._programs.program(t) for t in cycles]
+    assert all(prog is second._programs.program(t) for t, prog in zip(cycles, programs))
     # interned operands: one tuple object per distinct operand tuple across
     # all programs of the cache
     operands = [x for prog in set(programs) for _spec, run in prog.runs for x in run]
@@ -116,7 +116,7 @@ def test_trace_sees_every_pulse_in_program_order():
     rng = random.Random(7)
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     cycles = range(1, GrainSim.INIT_CYCLES + 3)
-    expected = chain.from_iterable(sim._cycle_program(t).ops for t in cycles)
+    expected = chain.from_iterable(sim._programs.program(t).ops for t in cycles)
     seen = 0
 
     def trace(step, kind, p, q, value):

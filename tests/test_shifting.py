@@ -195,6 +195,15 @@ def test_mutating_free_transfer_also_caught():
     assert not verify_polarity(bad, layout, 100)
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_with_element_rejects_cycle_zero(mode):
+    # the proposed plan has a transitional prefix, the conventional one none
+    plan = plan_to_fixed_point(trivium_cim.LAYOUT_A, mode)
+    assert bool(plan.prefix) == (mode is Mode.PROPOSED)
+    with pytest.raises(ValueError, match="1-based"):
+        plan.with_element(0, 1, Element.INVERTER)
+
+
 def test_plan_csv_dump():
     layout = RegisterLayout("toy", 3, frozenset({3}))
     plan = plan_proposed(layout, 2)

@@ -118,7 +118,7 @@ def test_mode_invariance_of_bits(rng):
 def test_logic_stage_preserves_all_register_cells_but_expiring_ones(rng):
     sim = TriviumSim(random_bits(rng, 80), random_bits(rng, 80), Mode.PROPOSED)
     sim.keystream(3)  # reach keystream phase, steady plans
-    prog = sim._cycle_program(sim.cycle + 1)
+    prog = sim._programs.program(sim.cycle + 1)
     before = list(sim.cells)
     cells = list(sim.cells)
     from implysim.engine import execute

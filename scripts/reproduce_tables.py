@@ -12,10 +12,10 @@ import argparse
 import random
 import sys
 
-from implysim import costs
+from implysim import costs, shifting
 from implysim.gates import GATE_METRICS, GateKind
 from implysim.grain_cim import LAYOUTS as GRAIN_LAYOUTS, GrainSim
-from implysim.shifting import Mode, count_elements, plan_proposed
+from implysim.shifting import Mode, count_elements
 from implysim.trivium_cim import LAYOUTS as TRIVIUM_LAYOUTS, TriviumSim
 
 
@@ -50,7 +50,7 @@ def shift_tables():
     print("== proposed shift-plan census (buffers, inverters) ==")
     for name, layout in {**TRIVIUM_LAYOUTS, **GRAIN_LAYOUTS}.items():
         cycles = 1152 if name in TRIVIUM_LAYOUTS else 256
-        plan = plan_proposed(layout, cycles)
+        plan = shifting.plan(layout, Mode.PROPOSED)
         steady = plan.census(cycles)
         total = count_elements(plan, 1, cycles)
         print(f"{name:<5} steady/cycle {steady}   total over {cycles} cycles {total}")

@@ -5,7 +5,7 @@ image-steganography pipeline driven by the simulated keystreams."""
 from .costs import aggregate, closed_form, compare
 from .grain_cim import GrainSim
 from .reference import grain128a_ref, trivium_ref, xorcrypt
-from .shifting import Mode, plan_conventional, plan_proposed, verify_polarity
+from .shifting import Mode, plan, verify_polarity
 from .trivium_cim import TriviumSim
 
 __all__ = [
@@ -16,8 +16,7 @@ __all__ = [
     "closed_form",
     "compare",
     "grain128a_ref",
-    "plan_conventional",
-    "plan_proposed",
+    "plan",
     "trivium_ref",
     "verify_polarity",
     "xorcrypt",

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import costs, grain_cim, stego, trivium_cim
+from . import costs, grain_cim, shifting, stego, trivium_cim
 from .engine import CsvTrace
 from .reference import (
     InputError,
@@ -25,7 +25,7 @@ from .reference import (
     grain_key_bits,
     trivium_key_bits,
 )
-from .shifting import Mode, count_elements, plan_conventional, plan_proposed, write_csv
+from .shifting import Mode, count_elements, write_csv
 
 _CIPHERS = ("trivium", "grain128a")
 
@@ -158,8 +158,7 @@ def cmd_plan(args) -> int:
         print(f"error: register {args.register} belongs to {cipher}", file=sys.stderr)
         return 2
     layout = layouts[args.register]
-    planner = plan_proposed if _mode(args) is Mode.PROPOSED else plan_conventional
-    plan = planner(layout, args.cycles)
+    plan = shifting.plan(layout, _mode(args))
     for t in range(1, args.cycles + 1):
         buffers, inverters = plan.census(t)
         print(f"{t},{buffers},{inverters}")

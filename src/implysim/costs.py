@@ -95,19 +95,17 @@ class ClosedForm:
     energy_slope_e4: int  # energy in 1e-4 nJ, the unit of PhaseCost.energy_e4
     energy_intercept_e4: int
 
-    def steps(self, n: int) -> int:
-        return self.steps_slope * n + self.steps_intercept
-
-    def energy_uj(self, n: int) -> float:
-        return (self.energy_slope_e4 * n + self.energy_intercept_e4) / 1e7
+    def at(self, n: int) -> tuple[int, float]:
+        """(steps, energy uJ) for n keystream bits."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        steps = self.steps_slope * n + self.steps_intercept
+        return steps, (self.energy_slope_e4 * n + self.energy_intercept_e4) / 1e7
 
 
 def closed_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
     """(steps, energy uJ) for n keystream bits, published coefficients."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    form = get_closed_form(cipher, mode)
-    return form.steps(n), form.energy_uj(n)
+    return get_closed_form(cipher, mode).at(n)
 
 
 def get_closed_form(cipher: str, mode: Mode) -> ClosedForm:
@@ -121,15 +119,17 @@ def get_closed_form(cipher: str, mode: Mode) -> ClosedForm:
 
 def simulated_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
     """(steps, energy uJ) for n keystream bits, as the simulator runs them."""
-    form = _simulated(cipher, mode)
-    return form.steps(n), form.energy_uj(n)
+    return _simulated(cipher, mode).at(n)
 
 
 @functools.cache
 def _simulated(cipher: str, mode: Mode) -> ClosedForm:
     """Slope: the steady keystream program.  Intercept: the programs of every
     cycle through its first run, summed cycle by cycle, less n * slope."""
-    cls = {sim.CIPHER: sim for sim in (TriviumSim, GrainSim)}[cipher]
+    try:
+        cls = {sim.CIPHER: sim for sim in (TriviumSim, GrainSim)}[cipher]
+    except KeyError:
+        raise AccountingError(f"no simulated form for {cipher}/{mode.value}") from None
     programs = programs_for(cls, mode)
     steady_at = max(cls.INIT_CYCLES + 1, programs.steady_from)
     steps = energy = 0
@@ -196,13 +196,14 @@ def closed_form_table(ns=(10000, 100000)) -> str:
     rows = [header]
     for (cipher, mode), row in PUBLISHED_FORMS.items():
         form = get_closed_form(cipher, mode)
+        points = [form.at(n) for n in ns]
         rows.append(
             [
                 f"{cipher} ({mode.value})",
                 f"{form.steps_slope}*n+{form.steps_intercept}",
-                *[str(form.steps(n)) for n in ns],
+                *[str(steps) for steps, _ in points],
                 f"{form.energy_slope_e4 / 1e7}*n+{form.energy_intercept_e4 / 1e7}",
-                *[f"{form.energy_uj(n):.4f}" for n in ns],
+                *[f"{energy:.4f}" for _, energy in points],
             ]
         )
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

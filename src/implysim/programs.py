@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
 from .gates import GATE_METRICS, GateKind, GateSpec
-from .shifting import Mode, plan_to_fixed_point
+from .shifting import Mode, plan
 
 
 _INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
@@ -218,15 +218,15 @@ class ProgramCache:
     """
 
     def __init__(self, cls: type[CipherSim], mode: Mode):
-        plans = [plan_to_fixed_point(layout, mode) for layout in cls.LAYOUTS.values()]
+        plans = [plan(layout, mode) for layout in cls.LAYOUTS.values()]
         #: first cycle from which every register repeats its steady row
-        self.steady_from = 1 + max(len(plan.prefix) for plan in plans)
+        self.steady_from = 1 + max(len(p.prefix) for p in plans)
         self.init_cycles = cls.INIT_CYCLES
         interned: dict[tuple, tuple] = {}
         by_rows: dict = {}
 
         def program(keystream: bool, cycle: int) -> CycleProgram:
-            rows = tuple(plan.elements(cycle) for plan in plans)
+            rows = tuple(p.elements(cycle) for p in plans)
             prog = by_rows.get((keystream, rows))
             if prog is None:
                 built = cls._build_cycle(keystream, rows)

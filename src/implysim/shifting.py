@@ -8,21 +8,24 @@ as a single inverter (2 steps, polarity flipping).
 
 Replacing buffers with inverters is sound as long as every *tap* -- a cell
 consumed by the cipher logic -- holds its true (uncomplemented) value at the
-start of every cycle.  The planner tracks one parity bit per cell: a cell's
+start of every cycle.  ``plan`` tracks one parity bit per cell: a cell's
 stored bit equals its logical value XOR parity.  Transfers into tap cells are
 forced to whatever element zeroes the tap's parity; every other transfer is
-free and uses the cheaper inverter.  This greedy rule realises the published
-distance-parity scheme: a tap at distance d behind its
-feeding tap (or the register input) alternates buffer/inverter for d cycles
-and then settles on an inverter when d is odd and a buffer when d is even,
-and adjacent tap pairs are buffered in every cycle.
+free and uses the mode's free element, the cheaper inverter when proposed
+and a buffer when conventional.  This greedy rule realises the published
+distance-parity scheme: a tap at distance d behind its feeding tap (or the
+register input) alternates buffer/inverter for d cycles and then settles on
+an inverter when d is odd and a buffer when d is even, and adjacent tap
+pairs are buffered in every cycle.  So every plan is a finite transitional
+prefix followed by one steady row, and ``plan`` always runs to that fixed
+point; horizons belong to the functions that read a plan.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, TextIO
 
 from .engine import LayoutError
 
@@ -76,18 +79,13 @@ class ShiftPlan:
 
     register: str
     length: int
-    cycles: int
     prefix: tuple[tuple[Element, ...], ...]
-    steady: Optional[tuple[Element, ...]]
+    steady: tuple[Element, ...]
 
     def elements(self, cycle: int) -> tuple[Element, ...]:
         if cycle < 1:
             raise ValueError("cycles are 1-based")
-        if cycle <= len(self.prefix):
-            return self.prefix[cycle - 1]
-        if self.steady is None:
-            raise ValueError(f"plan covers only {self.cycles} cycles")
-        return self.steady
+        return self.prefix[cycle - 1] if cycle <= len(self.prefix) else self.steady
 
     def census(self, cycle: int) -> tuple[int, int]:
         """(buffers, inverters) used in one cycle."""
@@ -104,27 +102,23 @@ class ShiftPlan:
         upto = max(cycle, len(self.prefix))
         rows = [list(self.elements(t)) for t in range(1, upto + 1)]
         rows[cycle - 1][transfer - 1] = element
-        return ShiftPlan(
-            self.register,
-            self.length,
-            max(self.cycles, cycle),
-            tuple(tuple(r) for r in rows),
-            self.steady,
-        )
+        return ShiftPlan(self.register, self.length, tuple(tuple(r) for r in rows), self.steady)
 
 
-def _plan(layout: RegisterLayout, cycles: int, proposed: bool) -> ShiftPlan:
-    if cycles < 0:
-        raise ValueError("cycles must be >= 0")
+def plan(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
+    """The mode's plan: taps held at true polarity, every other transfer the
+    mode's free element (an inverter when proposed, a buffer when conventional).
+
+    Position m's parity depends only on position m-1's, and the injected
+    value's parity is always 0, so position m's parity is constant after m
+    cycles: ``length + 1`` cycles always reach the fixed point.
+    """
     n = layout.length
     taps = layout.taps
-    free = Element.INVERTER if proposed else Element.BUFFER
+    free = Element.INVERTER if mode is Mode.PROPOSED else Element.BUFFER
     pi = [0] * (n + 1)  # pi[0]: injected values are always true polarity
     prefix: list[tuple[Element, ...]] = []
-    steady: Optional[tuple[Element, ...]] = None
-    t = 0
-    while t < cycles:
-        t += 1
+    for _ in range(n + 1):
         elems = []
         new_pi = [0] * (n + 1)
         for m in range(1, n + 1):
@@ -138,45 +132,19 @@ def _plan(layout: RegisterLayout, cycles: int, proposed: bool) -> ShiftPlan:
         row = tuple(elems)
         if new_pi == pi:
             # parity state is a fixed point: this cycle repeats forever
-            steady = row
-            break
+            return ShiftPlan(layout.name, n, tuple(prefix), row)
         prefix.append(row)
         pi = new_pi
-    return ShiftPlan(layout.name, n, cycles, tuple(prefix), steady)
+    raise SchedulingError(f"register {layout.name}: no parity fixed point in {n + 1} cycles")
 
 
-def plan_conventional(layout: RegisterLayout, cycles: int) -> ShiftPlan:
-    """All transfers buffered; polarity is identically zero."""
-    return _plan(layout, cycles, proposed=False)
-
-
-def plan_proposed(layout: RegisterLayout, cycles: int) -> ShiftPlan:
-    """Inverter/buffer mix with taps held at true polarity."""
-    return _plan(layout, cycles, proposed=True)
-
-
-def plan_to_fixed_point(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
-    """The mode's plan, long enough that ``elements`` covers every cycle.
-
-    Position m's parity depends only on position m-1's, and the injected
-    value's parity is always 0, so position m's parity is constant after m
-    cycles: ``length + 1`` planned cycles always reach the fixed point.
-    """
-    horizon = layout.length + 1
-    plan = _plan(layout, horizon, proposed=mode is Mode.PROPOSED)
-    if plan.steady is None:
-        raise SchedulingError(f"register {layout.name}: no parity fixed point in {horizon} cycles")
-    return plan
-
-
-def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: Optional[int] = None) -> bool:
-    """True iff every tap has parity 0 at the start of every cycle."""
+def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: int) -> bool:
+    """True iff every tap has parity 0 at the start of each of cycles 1..cycles."""
     if layout.length != plan.length:
         raise LayoutError("plan/layout length mismatch")
     n = layout.length
-    horizon = plan.cycles if cycles is None else cycles
     pi = [0] * (n + 1)
-    for t in range(1, horizon + 1):
+    for t in range(1, cycles + 1):
         # taps are consumed at the start of cycle t, before its shift
         if any(pi[k] for k in layout.taps):
             return False
@@ -188,12 +156,8 @@ def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: Optional[in
     return True
 
 
-def count_elements(plan: ShiftPlan, first: int = 1, last: Optional[int] = None) -> tuple[int, int]:
+def count_elements(plan: ShiftPlan, first: int, last: int) -> tuple[int, int]:
     """(buffers, inverters) summed over cycles ``first..last`` inclusive."""
-    if last is None:
-        last = plan.cycles
-    if first < 1 or last > plan.cycles and plan.steady is None:
-        raise ValueError("range outside plan")
     buffers = inverters = 0
     t = first
     # walk the transitional cycles, then close the steady tail in one shot
@@ -219,11 +183,10 @@ def apply_cycle(stored: list[int], input_bit: int, elems: Iterable[Element]) -> 
     return out
 
 
-def write_csv(plan: ShiftPlan, fileobj: TextIO, cycles: Optional[int] = None) -> None:
-    """Dump rows `cycle,transfer_from,transfer_to,element`."""
-    horizon = plan.cycles if cycles is None else cycles
+def write_csv(plan: ShiftPlan, fileobj: TextIO, cycles: int) -> None:
+    """Dump rows `cycle,transfer_from,transfer_to,element` for cycles 1..cycles."""
     fileobj.write("cycle,transfer_from,transfer_to,element\n")
-    for t in range(1, horizon + 1):
+    for t in range(1, cycles + 1):
         for m, e in enumerate(plan.elements(t), start=1):
             src = "input" if m == 1 else str(m - 1)
             fileobj.write(f"{t},{src},{m},{'inverter' if e else 'buffer'}\n")

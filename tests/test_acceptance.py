@@ -31,7 +31,7 @@ from implysim.shifting import (
     Mode,
     RegisterLayout,
     count_elements,
-    plan_proposed,
+    plan as plan_for,
     verify_polarity,
 )
 from implysim.trivium_cim import TriviumSim, LAYOUTS as TRIVIUM_LAYOUTS
@@ -215,7 +215,7 @@ def test_c4b_grain_simulated_preinit_total(rng):
     lfsr_floor = _buffer_floor(_LFSR_TAPS)
     no_b96 = _NFSR_TAPS - {96}
     no_b96_layout = RegisterLayout("NFSR", 128, _flow_positions(no_b96))
-    no_b96_plan = plan_proposed(no_b96_layout, 256)
+    no_b96_plan = plan_for(no_b96_layout, Mode.PROPOSED)
     expected = published_total + (4 - 2) * (nfsr_floor - published["NFSR"][0])
 
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
@@ -265,12 +265,12 @@ def test_c5_shift_plan_census():
         "C": ((3, 108), (3490, 124382)),
     }
     for name, (steady, totals) in expect_trivium.items():
-        plan = plan_proposed(TRIVIUM_LAYOUTS[name], 1152)
+        plan = plan_for(TRIVIUM_LAYOUTS[name], Mode.PROPOSED)
         checks.append(plan.census(1152) == steady)
         checks.append(count_elements(plan, 1, 1152) == totals)
     expect_grain = {"LFSR": (6, 122), "NFSR": (20, 108)}
     for name, steady in expect_grain.items():
-        plan = plan_proposed(GRAIN_LAYOUTS[name], 256)
+        plan = plan_for(GRAIN_LAYOUTS[name], Mode.PROPOSED)
         checks.append(plan.census(256) == steady)
     ok = all(checks)
     _line(
@@ -353,7 +353,7 @@ def test_c7_polarity_invariant():
     for layouts in (TRIVIUM_LAYOUTS, GRAIN_LAYOUTS):
         for layout in layouts.values():
             horizon = 2 * layout.length + 8
-            plan = plan_proposed(layout, horizon)
+            plan = plan_for(layout, Mode.PROPOSED)
             ok &= verify_polarity(plan, layout, horizon)
             for k, k1 in layout.tap_pairs:
                 for cycle in (1, layout.length, horizon - 1):

@@ -333,6 +333,63 @@ def test_plan_grain_nfsr_steady_and_conventional(capsys):
     assert lines[0] == "1,84,0" and lines[-1] == "total,168,0"
 
 
+# sha256 (first 16 hex digits) of `implysim plan` stdout and of its --out CSV,
+# for every register x mode at --cycles 0, 1, 70 (just past the longest
+# transitional prefix, Trivium B's 68 cycles) and 300
+PLAN_OUTPUT_SHA256 = {
+    ("A", "proposed", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("A", "proposed", 1): ("323b4b02d4a8b542", "0956a591311527ec"),
+    ("A", "proposed", 70): ("ed8a7abfaab92621", "1bc2051f5430075f"),
+    ("A", "proposed", 300): ("e97285d07a37418a", "9405d9f4fc12cbfe"),
+    ("A", "conventional", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("A", "conventional", 1): ("7c79a4351dbdc172", "8565ed153fd433c6"),
+    ("A", "conventional", 70): ("d67cc444a27d8359", "897dc327ec24c603"),
+    ("A", "conventional", 300): ("58d09de338c144b2", "08582e67d0d1bb7b"),
+    ("B", "proposed", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("B", "proposed", 1): ("4e6586797d152975", "c877196e1155e6bd"),
+    ("B", "proposed", 70): ("36813ac7622a5ea1", "f996d03c3f1998c2"),
+    ("B", "proposed", 300): ("58e2ae5d2eb3718c", "c14cea0d4be2c901"),
+    ("B", "conventional", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("B", "conventional", 1): ("25e71fb2d7aad999", "46a6aa46633998ff"),
+    ("B", "conventional", 70): ("985836a2849e5900", "ab7fd82433e0d3c6"),
+    ("B", "conventional", 300): ("1f1e76bfd8008e70", "2afbacca8342934d"),
+    ("C", "proposed", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("C", "proposed", 1): ("6e5622d0a0aaf3bf", "ed3e9b010a2bbdbb"),
+    ("C", "proposed", 70): ("aa25a0766ea780d2", "1eabe22cc488b9c3"),
+    ("C", "proposed", 300): ("afe99b7ed2600fe0", "3492a9acaed1504b"),
+    ("C", "conventional", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("C", "conventional", 1): ("26eb13fb61156990", "969762759753f800"),
+    ("C", "conventional", 70): ("cd16d6af5e5c18e5", "d362e5b3c9a390aa"),
+    ("C", "conventional", 300): ("929fdb27804339eb", "fc5975d881eaf799"),
+    ("LFSR", "proposed", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("LFSR", "proposed", 1): ("41e7b121a7c601ac", "2f73d2703a83ba7b"),
+    ("LFSR", "proposed", 70): ("fdf5c60aced9291d", "c366a8ae692ed950"),
+    ("LFSR", "proposed", 300): ("355c6affddcd0628", "aa316a0e8ecf8a99"),
+    ("LFSR", "conventional", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("LFSR", "conventional", 1): ("cfc5aaf87484b12a", "9ca00046a3ae7de9"),
+    ("LFSR", "conventional", 70): ("c2932f51ba4cf57a", "a4f1053edd67cb92"),
+    ("LFSR", "conventional", 300): ("bcd1d110a2de985d", "1424a0d9dbb594ae"),
+    ("NFSR", "proposed", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("NFSR", "proposed", 1): ("9bb60e0c5ec2654c", "18f23bfd4d6dfb8f"),
+    ("NFSR", "proposed", 70): ("5411d704b8b58ae5", "fa75ce7610a5159c"),
+    ("NFSR", "proposed", 300): ("9658cb5dd6b3623c", "cd2531365a25b36c"),
+    ("NFSR", "conventional", 0): ("3639aeba2103edf8", "e11ad9833672ed05"),
+    ("NFSR", "conventional", 1): ("cfc5aaf87484b12a", "9ca00046a3ae7de9"),
+    ("NFSR", "conventional", 70): ("c2932f51ba4cf57a", "a4f1053edd67cb92"),
+    ("NFSR", "conventional", 300): ("bcd1d110a2de985d", "1424a0d9dbb594ae"),
+}
+
+
+@pytest.mark.parametrize("register,mode,cycles", list(PLAN_OUTPUT_SHA256))
+def test_plan_output_is_pinned(capsys, tmp_path, register, mode, cycles):
+    out = tmp_path / "plan.csv"
+    rc = main(["plan", "--register", register, "--mode", mode, "--cycles", str(cycles), "--out", str(out)])
+    assert rc == 0
+    outputs = (capsys.readouterr().out.encode(), out.read_bytes())
+    digests = tuple(hashlib.sha256(data).hexdigest()[:16] for data in outputs)
+    assert digests == PLAN_OUTPUT_SHA256[register, mode, cycles]
+
+
 def test_plan_out_in_missing_directory_fails_before_printing(tmp_path, capsys):
     out = tmp_path / "missing" / "plan.csv"
     rc = main(["plan", "--register", "A", "--cycles", "70", "--out", str(out)])

@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from conftest import random_bits
-from implysim import costs
 from implysim.costs import (
     AccountingError,
     PhaseCost,
@@ -59,11 +58,12 @@ def test_closed_form_published_points(cipher, mode, n, steps, energy):
     assert abs(got_energy - energy) < 1e-9
 
 
-def test_closed_form_rejects_negative_n():
-    with pytest.raises(ValueError):
-        closed_form("trivium", Mode.PROPOSED, -1)
+@pytest.mark.parametrize("form", [closed_form, simulated_form], ids=lambda f: f.__name__)
+def test_closed_form_rejects_negative_n(form):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        form("trivium", Mode.PROPOSED, -1)
     with pytest.raises(AccountingError):
-        costs.get_closed_form("rc4", Mode.PROPOSED)
+        form("rc4", Mode.PROPOSED, 0)
 
 
 @pytest.mark.parametrize("cipher,cls,klen,ivlen", [

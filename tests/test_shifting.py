@@ -12,9 +12,7 @@ from implysim.shifting import (
     RegisterLayout,
     apply_cycle,
     count_elements,
-    plan_conventional,
-    plan_proposed,
-    plan_to_fixed_point,
+    plan as plan_for,
     verify_polarity,
     write_csv,
 )
@@ -67,7 +65,7 @@ TOY_D6 = {  # taps at cells 6,7 -> positions 7,8; 6 cells between input and firs
 def test_toy_register_stored_bits_match_worked_example(toy):
     layout = toy["layout"]
     rows = toy["rows"]
-    plan = plan_proposed(layout, len(rows) - 1)
+    plan = plan_for(layout, Mode.PROPOSED)
     stored = list(rows[0][1])
     for t in range(1, len(rows)):
         stored = apply_cycle(stored, rows[t - 1][0], plan.elements(t))
@@ -111,7 +109,7 @@ TRIVIUM_EXPECT = {
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_trivium_plan_census(name):
     layout = trivium_cim.LAYOUTS[name]
-    plan = plan_proposed(layout, 1152)
+    plan = plan_for(layout, Mode.PROPOSED)
     steady_from, steady, totals = TRIVIUM_EXPECT[name]
     assert plan.census(1152) == steady
     assert plan.census(steady_from) == steady
@@ -123,7 +121,7 @@ def test_trivium_plan_census(name):
 def test_trivium_register_a_transition_ranges():
     # transitional ranges: cycles 1-2 -> 7 buffers/179 inverters,
     # 3-22 -> 80/1780, 23-66 -> 154/3938, 67 on -> 3/90 per cycle
-    plan = plan_proposed(trivium_cim.LAYOUT_A, 80)
+    plan = plan_for(trivium_cim.LAYOUT_A, Mode.PROPOSED)
     assert count_elements(plan, 1, 2) == (7, 179)
     assert count_elements(plan, 3, 22) == (80, 1780)
     assert count_elements(plan, 23, 66) == (154, 3938)
@@ -133,7 +131,7 @@ def test_trivium_register_a_transition_ranges():
 def test_trivium_all_register_steady_totals():
     # one cycle of all three registers: 10 buffers + 278 inverters = 288
     # transfers, 596 shift steps
-    totals = [plan_proposed(trivium_cim.LAYOUTS[n], 1200).census(1200) for n in "ABC"]
+    totals = [plan_for(trivium_cim.LAYOUTS[n], Mode.PROPOSED).census(1200) for n in "ABC"]
     buffers = sum(b for b, _ in totals)
     inverters = sum(i for _, i in totals)
     assert (buffers, inverters) == (10, 278)
@@ -152,7 +150,7 @@ GRAIN_EXPECT = {
 @pytest.mark.parametrize("name", ["LFSR", "NFSR"])
 def test_grain_plan_census(name):
     layout = grain_cim.LAYOUTS[name]
-    plan = plan_proposed(layout, 256)
+    plan = plan_for(layout, Mode.PROPOSED)
     steady, totals = GRAIN_EXPECT[name]
     assert plan.census(256) == steady
     assert plan.census(35) == steady
@@ -163,16 +161,15 @@ def test_grain_plan_census(name):
 
 def test_conventional_plans_are_all_buffers():
     for layout in (*trivium_cim.LAYOUTS.values(), *grain_cim.LAYOUTS.values()):
-        plan = plan_conventional(layout, 10)
+        plan = plan_for(layout, Mode.CONVENTIONAL)
         for t in (1, 5, 10):
             assert plan.census(t) == (layout.length, 0)
         assert verify_polarity(plan, layout, 10)
-    assert plan_conventional(trivium_cim.LAYOUT_A, 0).cycles == 0
 
 
 def test_trivium_conventional_per_cycle_is_288_buffers():
     buffers = sum(
-        plan_conventional(trivium_cim.LAYOUTS[n], 2).census(1)[0] for n in "ABC"
+        plan_for(trivium_cim.LAYOUTS[n], Mode.CONVENTIONAL).census(1)[0] for n in "ABC"
     )
     assert buffers == 288
     assert buffers * 4 == 1152
@@ -180,7 +177,7 @@ def test_trivium_conventional_per_cycle_is_288_buffers():
 
 def test_mutating_tap_pair_transfer_breaks_polarity():
     layout = trivium_cim.LAYOUT_A
-    plan = plan_proposed(layout, 200)
+    plan = plan_for(layout, Mode.PROPOSED)
     assert verify_polarity(plan, layout, 200)
     # transfer into position 92 comes from tap 91; forcing an inverter
     # complements a consumed cell
@@ -190,7 +187,7 @@ def test_mutating_tap_pair_transfer_breaks_polarity():
 
 def test_mutating_free_transfer_also_caught():
     layout = grain_cim.LAYOUT_LFSR
-    plan = plan_proposed(layout, 100)
+    plan = plan_for(layout, Mode.PROPOSED)
     bad = plan.with_element(50, 2, Element.BUFFER)  # parity wave reaches a tap later
     assert not verify_polarity(bad, layout, 100)
 
@@ -198,7 +195,7 @@ def test_mutating_free_transfer_also_caught():
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_with_element_rejects_cycle_zero(mode):
     # the proposed plan has a transitional prefix, the conventional one none
-    plan = plan_to_fixed_point(trivium_cim.LAYOUT_A, mode)
+    plan = plan_for(trivium_cim.LAYOUT_A, mode)
     assert bool(plan.prefix) == (mode is Mode.PROPOSED)
     with pytest.raises(ValueError, match="1-based"):
         plan.with_element(0, 1, Element.INVERTER)
@@ -206,7 +203,7 @@ def test_with_element_rejects_cycle_zero(mode):
 
 def test_plan_csv_dump():
     layout = RegisterLayout("toy", 3, frozenset({3}))
-    plan = plan_proposed(layout, 2)
+    plan = plan_for(layout, Mode.PROPOSED)
     buf = io.StringIO()
     write_csv(plan, buf, 1)
     lines = buf.getvalue().strip().splitlines()
@@ -230,7 +227,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
     every other cell must match through its parity."""
     n = layout.length
     cycles = 2 * n + 4
-    plan = plan_proposed(layout, cycles)
+    plan = plan_for(layout, Mode.PROPOSED)
     assert verify_polarity(plan, layout, cycles)
 
     init = [rnd.randint(0, 1) for _ in range(n)]
@@ -264,10 +261,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
     "layout", [*trivium_cim.LAYOUTS.values(), *grain_cim.LAYOUTS.values()], ids=lambda l: l.name
 )
 def test_plan_to_fixed_point_within_register_length(layout, mode):
-    plan = plan_to_fixed_point(layout, mode)
-    assert plan.steady is not None
+    plan = plan_for(layout, mode)
     assert len(plan.prefix) <= layout.length
-    # the same rows as a plan over a horizon far past the fixed point
-    planner = plan_proposed if mode is Mode.PROPOSED else plan_conventional
-    long = planner(layout, 4 * layout.length)
-    assert (plan.prefix, plan.steady) == (long.prefix, long.steady)
+    # the steady row keeps every tap at true polarity far past the fixed point
+    assert verify_polarity(plan, layout, 4 * layout.length)

@@ -14,9 +14,9 @@ import sys
 
 from implysim import costs, shifting
 from implysim.gates import GATE_METRICS, GateKind
-from implysim.grain_cim import LAYOUTS as GRAIN_LAYOUTS, GrainSim
+from implysim.grain_cim import GrainSim
 from implysim.shifting import Mode, count_elements
-from implysim.trivium_cim import LAYOUTS as TRIVIUM_LAYOUTS, TriviumSim
+from implysim.trivium_cim import TriviumSim
 
 
 def gate_table():
@@ -48,12 +48,13 @@ def census_tables(n: int, seed: int):
 
 def shift_tables():
     print("== proposed shift-plan census (buffers, inverters) ==")
-    for name, layout in {**TRIVIUM_LAYOUTS, **GRAIN_LAYOUTS}.items():
-        cycles = 1152 if name in TRIVIUM_LAYOUTS else 256
-        plan = shifting.plan(layout, Mode.PROPOSED)
-        steady = plan.census(cycles)
-        total = count_elements(plan, 1, cycles)
-        print(f"{name:<5} steady/cycle {steady}   total over {cycles} cycles {total}")
+    for cls in (TriviumSim, GrainSim):
+        cycles = cls.INIT_CYCLES
+        for name, layout in cls.LAYOUTS.items():
+            plan = shifting.plan(layout, Mode.PROPOSED)
+            steady = plan.census(cycles)
+            total = count_elements(plan, 1, cycles)
+            print(f"{name:<5} steady/cycle {steady}   total over {cycles} cycles {total}")
     print()
 
 

@@ -143,11 +143,11 @@ def cmd_stego(args) -> int:
 
 
 _REGISTERS = {
-    "A": (trivium_cim.LAYOUTS, "trivium"),
-    "B": (trivium_cim.LAYOUTS, "trivium"),
-    "C": (trivium_cim.LAYOUTS, "trivium"),
-    "LFSR": (grain_cim.LAYOUTS, "grain128a"),
-    "NFSR": (grain_cim.LAYOUTS, "grain128a"),
+    "A": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
+    "B": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
+    "C": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
+    "LFSR": (grain_cim.GrainSim.LAYOUTS, "grain128a"),
+    "NFSR": (grain_cim.GrainSim.LAYOUTS, "grain128a"),
 }
 
 

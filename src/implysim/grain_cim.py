@@ -16,7 +16,10 @@ its value until the end-of-cycle shift.  In the pre-init phase the output
 bit is folded into both register feedbacks with two extra destructive XOR2.
 
 Values flow from index 127 toward index 0 in both registers, so the shift
-planner sees position 1 as cell 127 and position 128 as cell 0.
+planner sees position 1 as cell 127 and position 128 as cell 0.  ``GrainSim``
+declares the registers and this logic; ``CipherSim`` appends the shifts and
+derives the taps from the cells the logic reads, and ``LFSR_TAP_IDX`` and
+``NFSR_TAP_IDX`` restate them as register indices.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .gates import GateKind
-from .programs import CipherSim, CycleProgram, ProgramBuilder
+from .programs import CipherSim, ProgramBuilder
 from .reference import InputError
-from .shifting import RegisterLayout
 
 PREINIT_CYCLES = 256
 
@@ -39,23 +41,6 @@ B0, S0 = 0, 128
 W = tuple(range(256, 262))
 OUT = 262
 
-# cells read by the logic every cycle, as register indices
-LFSR_TAP_IDX = frozenset({0, 7, 8, 13, 20, 38, 42, 60, 70, 79, 81, 93, 94, 96})
-NFSR_TAP_IDX = frozenset(
-    {0, 2, 3, 11, 12, 13, 15, 17, 18, 22, 24, 25, 26, 27, 36, 40, 45, 48, 56, 59,
-     61, 64, 65, 67, 68, 70, 73, 78, 82, 84, 88, 89, 91, 92, 93, 95, 96}
-)
-
-
-def _flow_taps(idx: frozenset[int]) -> frozenset[int]:
-    return frozenset(128 - i for i in idx)
-
-
-LAYOUT_LFSR = RegisterLayout("LFSR", NS, _flow_taps(LFSR_TAP_IDX))
-LAYOUT_NFSR = RegisterLayout("NFSR", NB, _flow_taps(NFSR_TAP_IDX))
-LAYOUTS = {"LFSR": LAYOUT_LFSR, "NFSR": LAYOUT_NFSR}
-
-
 def b(i: int) -> int:
     return B0 + i
 
@@ -63,10 +48,6 @@ def b(i: int) -> int:
 def s(i: int) -> int:
     return S0 + i
 
-
-# flow order: position 1 receives the injection
-_NFSR_CELLS = tuple(b(127 - j) for j in range(NB))
-_LFSR_CELLS = tuple(s(127 - j) for j in range(NS))
 
 # NFSR feedback: linear terms then the product terms, register indices
 _NFSR_LINEAR = (26, 56, 91, 96)
@@ -153,13 +134,16 @@ class GrainSim(CipherSim):
     CIPHER = "grain128a"
     INIT_CYCLES = PREINIT_CYCLES
     MEMRISTORS = {"preinit": MEMRISTORS_PREINIT, "keystream": MEMRISTORS_KEYSTREAM}
-    LAYOUTS = LAYOUTS
+    # flow order: position 1, the injected cell, is index 127
+    REGISTERS = {
+        "LFSR": tuple(s(127 - j) for j in range(NS)),
+        "NFSR": tuple(b(127 - j) for j in range(NB)),
+    }
     OUT = OUT
     load_key_iv = staticmethod(load_key_iv)
 
     @staticmethod
-    def _build_cycle(keystream: bool, rows) -> CycleProgram:
-        pb = ProgramBuilder()
+    def _logic(pb: ProgramBuilder, keystream: bool):
         pool = _Pool(W)
         # h(x): four pairwise products plus one triple, XOR-chained
         u, v = pool.alloc(), pool.alloc()
@@ -199,7 +183,9 @@ class GrainSim(CipherSim):
             fn2 = pb.gate(GateKind.XOR2_DESTRUCTIVE, (fn, y), (wx, wy))
             pool.release(fn, y, wy)
             fl, fn = fl2, fn2
-        scratch = pool.alloc()
-        pb.shift_register(_LFSR_CELLS, fl, rows[0], scratch, "LFSR")
-        pb.shift_register(_NFSR_CELLS, fn, rows[1], scratch, "NFSR")
-        return pb.compiled()
+        return {"LFSR": fl, "NFSR": fn}, pool.alloc()  # a free work cell as the scratch
+
+
+# the register indices the logic reads, derived from the flow-order taps
+LFSR_TAP_IDX = frozenset(NS - pos for pos in GrainSim.LAYOUTS["LFSR"].taps)
+NFSR_TAP_IDX = frozenset(NB - pos for pos in GrainSim.LAYOUTS["NFSR"].taps)

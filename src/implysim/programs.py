@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
 from .gates import GATE_METRICS, GateKind, GateSpec
-from .shifting import Mode, plan
+from .reference import InputError
+from .shifting import Mode, RegisterLayout, plan
 
 
 _INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
@@ -164,12 +165,15 @@ class CycleProgram:
 
 
 class ProgramBuilder:
-    """Accumulates gates, then shift stages, into one compiled cycle."""
+    """Accumulates gates, then shift stages, into one compiled cycle;
+    ``reads`` holds the cells its gates read before any gate writes them."""
 
     def __init__(self):
         self._runs: list[tuple[GateSpec, list]] = []
         self._stages: list[ShiftStage] = []
         self._census: Counter = Counter()
+        self.reads: set[CellId] = set()
+        self._written: set[CellId] = set()
 
     def gate(self, kind: GateKind, inputs, works, tag: str | None = None) -> CellId:
         """Append one gate instance on ``inputs`` then ``works``, which must
@@ -189,6 +193,8 @@ class ProgramBuilder:
         else:
             self._runs.append((spec, [operands]))
         self._census[(kind, tag)] += 1
+        self.reads.update(cell for cell in inputs if cell not in self._written)
+        self._written.update(operands[q] for _p, q in spec.pulses)
         return operands[spec.out]
 
     def shift_register(self, cells, source: CellId, elements, scratch: CellId, tag: str) -> None:
@@ -288,16 +294,41 @@ class Phase:
 class CipherSim:
     """One cipher instance on the array; lanes advance in lockstep.
 
-    A cipher supplies ``CIPHER``, ``INIT_CYCLES``, ``MEMRISTORS``,
-    ``LAYOUTS`` (its registers in plan-row order), the output cell ``OUT``,
-    ``load_key_iv(key, iv, width)`` and the static ``_build_cycle(keystream, rows)``.
+    A cipher supplies ``CIPHER``, ``INIT_CYCLES``, ``MEMRISTORS``, the output
+    cell ``OUT``, ``load_key_iv(key, iv, width)``, ``REGISTERS`` (name ->
+    contiguous cells in flow order, in plan-row order) and the static
+    ``_logic(pb, keystream)``, which appends one cycle's logic gates and
+    returns each register's injection source by name and the scratch cell.
+    ``LAYOUTS`` is derived from the logic: a register's taps are its cells
+    that either phase reads before writing them.
     """
 
     CIPHER: str
     INIT_CYCLES: int
     MEMRISTORS: dict
+    REGISTERS: dict
     LAYOUTS: dict
     OUT: int
+
+    def __init_subclass__(cls):
+        reads: set[CellId] = set()
+        for keystream in (False, True):
+            cls._logic(pb := ProgramBuilder(), keystream)
+            reads |= pb.reads
+        cls.LAYOUTS = {}
+        for name, cells in cls.REGISTERS.items():
+            taps = frozenset(m for m, cell in enumerate(cells, 1) if cell in reads)
+            cls.LAYOUTS[name] = RegisterLayout(name, len(cells), taps)
+
+    @classmethod
+    def _build_cycle(cls, keystream: bool, rows) -> CycleProgram:
+        """One cycle's program: the logic, then each register's shift stage
+        under its plan row (``rows`` in ``REGISTERS`` order)."""
+        pb = ProgramBuilder()
+        sources, scratch = cls._logic(pb, keystream)
+        for (name, cells), row in zip(cls.REGISTERS.items(), rows, strict=True):
+            pb.shift_register(cells, sources[name], row, scratch, name)
+        return pb.compiled()
 
     def __init__(
         self,
@@ -307,9 +338,13 @@ class CipherSim:
         width: int = 1,
         trace: TraceFn | None = None,
     ):
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
         self.mode = mode
         self.width = width
         self.full = (1 << width) - 1
+        if any(not 0 <= x <= self.full for x in (*key, *iv)):
+            raise InputError(f"key and iv entries must be {width}-bit masks in [0, {self.full}]")
         self.cells = self.load_key_iv(key, iv, width)
         self.cycle = 0  # completed cycles, 1-based during execution
         self.trace = trace

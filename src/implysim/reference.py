@@ -90,12 +90,23 @@ def bits_to_bytes_msb_first(bits: Sequence[int]) -> bytes:
 TRIVIUM_WARMUP = 1152
 
 
-def trivium_ref(key: Sequence[int], iv: Sequence[int], n: int) -> Bits:
-    """n keystream bits after the 1152 warm-up cycles.
+def trivium_round(s: Bits) -> tuple[Bits, int]:
+    """One cycle on the state s1..s288 (list indices 0..287; registers
+    A = s1..s93, B = s94..s177, C = s178..s288): the next state and the
+    output bit z of the state given.  Uses only ``^`` and ``&``, so it also
+    runs on symbolic bits."""
+    t1 = s[65] ^ s[92]
+    t2 = s[161] ^ s[176]
+    t3 = s[242] ^ s[287]
+    z = t1 ^ t2 ^ t3
+    t1 ^= (s[90] & s[91]) ^ s[170]
+    t2 ^= (s[174] & s[175]) ^ s[263]
+    t3 ^= (s[285] & s[286]) ^ s[68]
+    return [t3] + s[:92] + [t1] + s[93:176] + [t2] + s[177:287], z
 
-    State s1..s288 maps to list indices 0..287: registers A = s1..s93,
-    B = s94..s177, C = s178..s288.
-    """
+
+def trivium_ref(key: Sequence[int], iv: Sequence[int], n: int) -> Bits:
+    """n keystream bits after the 1152 warm-up cycles."""
     key = _check_bits(key, 80, "key")
     iv = _check_bits(iv, 80, "iv")
     if n < 0:
@@ -106,15 +117,9 @@ def trivium_ref(key: Sequence[int], iv: Sequence[int], n: int) -> Bits:
     s[285] = s[286] = s[287] = 1
     out = []
     for i in range(TRIVIUM_WARMUP + n):
-        t1 = s[65] ^ s[92]
-        t2 = s[161] ^ s[176]
-        t3 = s[242] ^ s[287]
+        s, z = trivium_round(s)
         if i >= TRIVIUM_WARMUP:
-            out.append(t1 ^ t2 ^ t3)
-        t1 ^= (s[90] & s[91]) ^ s[170]
-        t2 ^= (s[174] & s[175]) ^ s[263]
-        t3 ^= (s[285] & s[286]) ^ s[68]
-        s = [t3] + s[:92] + [t1] + s[93:176] + [t2] + s[177:287]
+            out.append(z)
     return out
 
 
@@ -159,6 +164,17 @@ def _grain_nfsr_fb(b: Bits, s: Bits) -> int:
     )
 
 
+def grain_round(b: Bits, s: Bits, preinit: bool = False) -> tuple[Bits, Bits, int]:
+    """One cycle: the next NFSR and LFSR states and the output y of the
+    states given, which pre-init folds into both feedbacks.  Uses only
+    ``^`` and ``&``, so it also runs on symbolic bits."""
+    y = _grain_y(b, s)
+    fl, fn = _grain_lfsr_fb(s), _grain_nfsr_fb(b, s)
+    if preinit:
+        fl, fn = fl ^ y, fn ^ y
+    return b[1:] + [fn], s[1:] + [fl], y
+
+
 def grain128a_ref(key: Sequence[int], iv: Sequence[int], n: int) -> Bits:
     """n keystream bits after the 256 pre-init cycles with output feedback."""
     key = _check_bits(key, 128, "key")
@@ -168,18 +184,11 @@ def grain128a_ref(key: Sequence[int], iv: Sequence[int], n: int) -> Bits:
     b = list(key)
     s = list(iv) + [1] * 31 + [0]
     for _ in range(GRAIN_PREINIT):
-        y = _grain_y(b, s)
-        fl = _grain_lfsr_fb(s) ^ y
-        fn = _grain_nfsr_fb(b, s) ^ y
-        s = s[1:] + [fl]
-        b = b[1:] + [fn]
+        b, s, _y = grain_round(b, s, preinit=True)
     out = []
     for _ in range(n):
-        out.append(_grain_y(b, s))
-        fl = _grain_lfsr_fb(s)
-        fn = _grain_nfsr_fb(b, s)
-        s = s[1:] + [fl]
-        b = b[1:] + [fn]
+        b, s, y = grain_round(b, s)
+        out.append(y)
     return out
 
 

@@ -8,11 +8,12 @@ Per cycle the logic is: for each register, the pair-tap XOR and the
 adjacent-cell AND are folded into a partial feedback (2 destructive XOR2 +
 1 AND2, 23 steps per register); the three register inputs then each take one
 more destructive XOR2 (27 steps); in the keystream phase the output bit
-costs two further destructive XOR2 (18 steps).  Shifts run at the end of the
-cycle under the selected plan.  That is 96 logic steps per initialization
-cycle and 114 per keystream cycle, with destructive XOR operands always
-bound so that the overwritten cell is either expiring (A93/B84/C111) or
-scratch.
+costs two further destructive XOR2 (18 steps).  That is 96 logic steps per
+initialization cycle and 114 per keystream cycle, with destructive XOR
+operands always bound so that the overwritten cell is either expiring
+(A93/B84/C111) or scratch.  ``TriviumSim`` declares the registers and this
+logic; ``CipherSim`` appends the shifts under the selected plan and derives
+each register's taps from the cells the logic reads.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .gates import GateKind
-from .programs import CipherSim, CycleProgram, ProgramBuilder
+from .programs import CipherSim, ProgramBuilder
 from .reference import InputError
-from .shifting import RegisterLayout
 
 INIT_CYCLES = 1152
 
@@ -31,19 +31,9 @@ INIT_CYCLES = 1152
 MEMRISTORS_ALLOCATED = 294
 MEMRISTORS_REPORTED = 293
 
-A_LEN, B_LEN, C_LEN = 93, 84, 111
-A0, B0, C0 = 0, 93, 177
+A0, B0, C0 = 0, 93, 177  # first cells of registers A, B and C
 S = tuple(range(288, 293))  # work cells s0..s4
 OUT = 293
-
-A_TAPS = frozenset({66, 69, 91, 92, 93})
-B_TAPS = frozenset({69, 78, 82, 83, 84})
-C_TAPS = frozenset({66, 87, 109, 110, 111})
-
-LAYOUT_A = RegisterLayout("A", A_LEN, A_TAPS)
-LAYOUT_B = RegisterLayout("B", B_LEN, B_TAPS)
-LAYOUT_C = RegisterLayout("C", C_LEN, C_TAPS)
-LAYOUTS = {"A": LAYOUT_A, "B": LAYOUT_B, "C": LAYOUT_C}
 
 
 def a(pos: int) -> int:
@@ -56,11 +46,6 @@ def b(pos: int) -> int:
 
 def c(pos: int) -> int:
     return C0 + pos - 1
-
-
-_A_CELLS = tuple(a(i) for i in range(1, A_LEN + 1))
-_B_CELLS = tuple(b(i) for i in range(1, B_LEN + 1))
-_C_CELLS = tuple(c(i) for i in range(1, C_LEN + 1))
 
 
 def load_key_iv(key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:
@@ -88,13 +73,13 @@ class TriviumSim(CipherSim):
     CIPHER = "trivium"
     INIT_CYCLES = INIT_CYCLES
     MEMRISTORS = {"allocated": MEMRISTORS_ALLOCATED, "reported": MEMRISTORS_REPORTED}
-    LAYOUTS = LAYOUTS
+    # position 1, the injected cell, first
+    REGISTERS = {"A": tuple(range(A0, B0)), "B": tuple(range(B0, C0)), "C": tuple(range(C0, S[0]))}
     OUT = OUT
     load_key_iv = staticmethod(load_key_iv)
 
     @staticmethod
-    def _build_cycle(keystream: bool, rows) -> CycleProgram:
-        pb = ProgramBuilder()
+    def _logic(pb: ProgramBuilder, keystream: bool):
         s0, s1, s2, s3, s4 = S
         x = GateKind.XOR2_DESTRUCTIVE
         # register A block: tA = A66^A93 kept in s0, partial pA = tA^(A91&A92)
@@ -120,7 +105,4 @@ class TriviumSim(CipherSim):
         pb.gate(x, (a(69), c(111)), (s0, s3))
         pb.gate(x, (b(78), a(93)), (s1, s3))
         pb.gate(x, (c(87), b(84)), (s2, s3))
-        pb.shift_register(_A_CELLS, s0, rows[0], s4, "A")
-        pb.shift_register(_B_CELLS, s1, rows[1], s4, "B")
-        pb.shift_register(_C_CELLS, s2, rows[2], s4, "C")
-        return pb.compiled()
+        return {"A": s0, "B": s1, "C": s2}, s4

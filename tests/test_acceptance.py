@@ -17,7 +17,7 @@ from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs, stego
 from implysim.engine import FALSE_P, execute
 from implysim.gates import GATE_METRICS, GateKind, truth_check
-from implysim.grain_cim import GrainSim, LFSR_TAP_IDX, NFSR_TAP_IDX, LAYOUTS as GRAIN_LAYOUTS
+from implysim.grain_cim import GrainSim, LFSR_TAP_IDX, NFSR_TAP_IDX
 from implysim.reference import (
     bits_to_bytes_lsb_first,
     grain128a_ref,
@@ -34,7 +34,9 @@ from implysim.shifting import (
     plan as plan_for,
     verify_polarity,
 )
-from implysim.trivium_cim import TriviumSim, LAYOUTS as TRIVIUM_LAYOUTS
+from implysim.trivium_cim import TriviumSim
+
+GRAIN_LAYOUTS, TRIVIUM_LAYOUTS = GrainSim.LAYOUTS, TriviumSim.LAYOUTS
 
 
 def _line(tag: str, ok: bool, detail: str = "") -> None:

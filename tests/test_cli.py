@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,6 +390,18 @@ def test_plan_output_is_pinned(capsys, tmp_path, register, mode, cycles):
     outputs = (capsys.readouterr().out.encode(), out.read_bytes())
     digests = tuple(hashlib.sha256(data).hexdigest()[:16] for data in outputs)
     assert digests == PLAN_OUTPUT_SHA256[register, mode, cycles]
+
+
+# sha256 (first 16 hex digits) of `scripts/reproduce_tables.py` stdout at its
+# defaults: the gate table, the shift-plan census, every cipher x mode cost
+# report and comparison, the closed forms and the improvement ratios
+REPRODUCE_TABLES_SHA256 = "80e05209bade3715"
+
+
+def test_reproduce_tables_output_is_pinned(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    assert runpy.run_path(str(script))["main"]([]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == REPRODUCE_TABLES_SHA256
 
 
 def test_plan_out_in_missing_directory_fails_before_printing(tmp_path, capsys):

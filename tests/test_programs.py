@@ -18,7 +18,7 @@ from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
 from implysim.programs import ProgramBuilder, ShiftStage
-from implysim.reference import grain128a_ref, grain_key_bits, trivium_ref
+from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
 from implysim.shifting import Element, Mode
 from implysim.trivium_cim import TriviumSim
 
@@ -205,6 +205,36 @@ def test_shift_stage_rejects_bad_operands():
     pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 3, 11, "r")
     with pytest.raises(LayoutError):  # logic after the shift stages
         pb.gate(GateKind.INVERTER, (3,), (4,))
+
+
+@pytest.mark.parametrize("width,bad", [(1, 2), (1, 3), (1, -1), (4, 16)])
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_sims_reject_key_iv_entries_outside_the_lane_mask(cipher, width, bad):
+    # the oracles raise InputError for a non-bit; a sim must not mask the
+    # entry down to a valid one and run
+    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    with pytest.raises(InputError, match="key and iv entries"):
+        cls([bad] + [0] * (key_len - 1), [0] * iv_len, width=width)
+    with pytest.raises(InputError, match="key and iv entries"):
+        cls([0] * key_len, [0] * (iv_len - 1) + [bad], width=width)
+    cls([(1 << width) - 1] * key_len, [0] * iv_len, width=width)  # the full mask is valid
+
+
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_sims_reject_a_width_below_one(cipher, width):
+    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        cls([0] * key_len, [0] * iv_len, width=width)
+
+
+def test_builder_reads_are_the_cells_read_before_any_write():
+    pb = ProgramBuilder()
+    # XOR2_DESTRUCTIVE on (0, 1) overwrites input 1 and works 2, 3
+    pb.gate(GateKind.XOR2_DESTRUCTIVE, (0, 1), (2, 3))
+    pb.gate(GateKind.AND2, (1, 4), (5, 6))  # 1 was written above: not a read
+    pb.gate(GateKind.INVERTER, (2,), (7,))
+    assert pb.reads == {0, 1, 4}
 
 
 class _HashWriter:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from implysim.engine import execute
+from implysim.grain_cim import GrainSim
 from implysim.programs import ProgramBuilder
 from implysim.shifting import (
     Element,
@@ -16,7 +17,7 @@ from implysim.shifting import (
     verify_polarity,
     write_csv,
 )
-from implysim import grain_cim, trivium_cim
+from implysim.trivium_cim import TriviumSim
 
 # ---------------------------------------------------------------------------
 # 8-cell worked examples (cells labeled 0..7 there = positions 1..8 here).
@@ -108,7 +109,7 @@ TRIVIUM_EXPECT = {
 
 @pytest.mark.parametrize("name", ["A", "B", "C"])
 def test_trivium_plan_census(name):
-    layout = trivium_cim.LAYOUTS[name]
+    layout = TriviumSim.LAYOUTS[name]
     plan = plan_for(layout, Mode.PROPOSED)
     steady_from, steady, totals = TRIVIUM_EXPECT[name]
     assert plan.census(1152) == steady
@@ -121,7 +122,7 @@ def test_trivium_plan_census(name):
 def test_trivium_register_a_transition_ranges():
     # transitional ranges: cycles 1-2 -> 7 buffers/179 inverters,
     # 3-22 -> 80/1780, 23-66 -> 154/3938, 67 on -> 3/90 per cycle
-    plan = plan_for(trivium_cim.LAYOUT_A, Mode.PROPOSED)
+    plan = plan_for(TriviumSim.LAYOUTS["A"], Mode.PROPOSED)
     assert count_elements(plan, 1, 2) == (7, 179)
     assert count_elements(plan, 3, 22) == (80, 1780)
     assert count_elements(plan, 23, 66) == (154, 3938)
@@ -131,7 +132,7 @@ def test_trivium_register_a_transition_ranges():
 def test_trivium_all_register_steady_totals():
     # one cycle of all three registers: 10 buffers + 278 inverters = 288
     # transfers, 596 shift steps
-    totals = [plan_for(trivium_cim.LAYOUTS[n], Mode.PROPOSED).census(1200) for n in "ABC"]
+    totals = [plan_for(TriviumSim.LAYOUTS[n], Mode.PROPOSED).census(1200) for n in "ABC"]
     buffers = sum(b for b, _ in totals)
     inverters = sum(i for _, i in totals)
     assert (buffers, inverters) == (10, 278)
@@ -149,7 +150,7 @@ GRAIN_EXPECT = {
 
 @pytest.mark.parametrize("name", ["LFSR", "NFSR"])
 def test_grain_plan_census(name):
-    layout = grain_cim.LAYOUTS[name]
+    layout = GrainSim.LAYOUTS[name]
     plan = plan_for(layout, Mode.PROPOSED)
     steady, totals = GRAIN_EXPECT[name]
     assert plan.census(256) == steady
@@ -160,7 +161,7 @@ def test_grain_plan_census(name):
 
 
 def test_conventional_plans_are_all_buffers():
-    for layout in (*trivium_cim.LAYOUTS.values(), *grain_cim.LAYOUTS.values()):
+    for layout in (*TriviumSim.LAYOUTS.values(), *GrainSim.LAYOUTS.values()):
         plan = plan_for(layout, Mode.CONVENTIONAL)
         for t in (1, 5, 10):
             assert plan.census(t) == (layout.length, 0)
@@ -169,14 +170,14 @@ def test_conventional_plans_are_all_buffers():
 
 def test_trivium_conventional_per_cycle_is_288_buffers():
     buffers = sum(
-        plan_for(trivium_cim.LAYOUTS[n], Mode.CONVENTIONAL).census(1)[0] for n in "ABC"
+        plan_for(TriviumSim.LAYOUTS[n], Mode.CONVENTIONAL).census(1)[0] for n in "ABC"
     )
     assert buffers == 288
     assert buffers * 4 == 1152
 
 
 def test_mutating_tap_pair_transfer_breaks_polarity():
-    layout = trivium_cim.LAYOUT_A
+    layout = TriviumSim.LAYOUTS["A"]
     plan = plan_for(layout, Mode.PROPOSED)
     assert verify_polarity(plan, layout, 200)
     # transfer into position 92 comes from tap 91; forcing an inverter
@@ -186,7 +187,7 @@ def test_mutating_tap_pair_transfer_breaks_polarity():
 
 
 def test_mutating_free_transfer_also_caught():
-    layout = grain_cim.LAYOUT_LFSR
+    layout = GrainSim.LAYOUTS["LFSR"]
     plan = plan_for(layout, Mode.PROPOSED)
     bad = plan.with_element(50, 2, Element.BUFFER)  # parity wave reaches a tap later
     assert not verify_polarity(bad, layout, 100)
@@ -195,7 +196,7 @@ def test_mutating_free_transfer_also_caught():
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_with_element_rejects_cycle_zero(mode):
     # the proposed plan has a transitional prefix, the conventional one none
-    plan = plan_for(trivium_cim.LAYOUT_A, mode)
+    plan = plan_for(TriviumSim.LAYOUTS["A"], mode)
     assert bool(plan.prefix) == (mode is Mode.PROPOSED)
     with pytest.raises(ValueError, match="1-based"):
         plan.with_element(0, 1, Element.INVERTER)
@@ -258,7 +259,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize(
-    "layout", [*trivium_cim.LAYOUTS.values(), *grain_cim.LAYOUTS.values()], ids=lambda l: l.name
+    "layout", [*TriviumSim.LAYOUTS.values(), *GrainSim.LAYOUTS.values()], ids=lambda l: l.name
 )
 def test_plan_to_fixed_point_within_register_length(layout, mode):
     plan = plan_for(layout, mode)

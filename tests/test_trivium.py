@@ -40,6 +40,17 @@ def test_load_rejects_wrong_lengths():
         TriviumSim([0] * 80, [0] * 80).keystream(-1)
 
 
+def test_taps_derived_from_the_logic():
+    # the register positions the cycle logic reads, in both phases
+    taps = {name: set(layout.taps) for name, layout in TriviumSim.LAYOUTS.items()}
+    assert taps == {
+        "A": {66, 69, 91, 92, 93},
+        "B": {69, 78, 82, 83, 84},
+        "C": {66, 87, 109, 110, 111},
+    }
+    assert [layout.length for layout in TriviumSim.LAYOUTS.values()] == [93, 84, 111]
+
+
 def test_memristor_budget():
     assert MEMRISTORS_ALLOCATED == 294  # 288 register + 5 work + 1 output
     assert MEMRISTORS_REPORTED == 293

@@ -14,9 +14,7 @@ import sys
 
 from implysim import costs, shifting
 from implysim.gates import GATE_METRICS, GateKind
-from implysim.grain_cim import GrainSim
 from implysim.shifting import Mode, count_elements
-from implysim.trivium_cim import TriviumSim
 
 
 def gate_table():
@@ -30,12 +28,9 @@ def gate_table():
 
 def census_tables(n: int, seed: int):
     rng = random.Random(seed)
-    for label, cls, klen, ivlen in (
-        ("trivium", TriviumSim, 80, 80),
-        ("grain128a", GrainSim, 128, 96),
-    ):
-        key = [rng.randint(0, 1) for _ in range(klen)]
-        iv = [rng.randint(0, 1) for _ in range(ivlen)]
+    for label, cls in costs.SIMS.items():
+        key = [rng.randint(0, 1) for _ in range(len(cls.KEY))]
+        iv = [rng.randint(0, 1) for _ in range(len(cls.IV))]
         for mode in (Mode.PROPOSED, Mode.CONVENTIONAL):
             sim = cls(key, iv, mode)
             sim.keystream(n)
@@ -48,7 +43,7 @@ def census_tables(n: int, seed: int):
 
 def shift_tables():
     print("== proposed shift-plan census (buffers, inverters) ==")
-    for cls in (TriviumSim, GrainSim):
+    for cls in costs.SIMS.values():
         cycles = cls.INIT_CYCLES
         for name, layout in cls.LAYOUTS.items():
             plan = shifting.plan(layout, Mode.PROPOSED)

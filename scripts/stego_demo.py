@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 from implysim import stego
-from implysim.grain_cim import GrainSim
-from implysim.reference import xorcrypt
+from implysim.costs import SIMS
+from implysim.reference import bytes_to_bits_msb_first, xorcrypt
 from implysim.shifting import Mode
-from implysim.trivium_cim import TriviumSim
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--cipher", choices=["trivium", "grain128a"], default="trivium")
+    parser.add_argument("--cipher", choices=list(SIMS), default="trivium")
     parser.add_argument("--mode", choices=[m.value for m in Mode], default="proposed")
     parser.add_argument("--bytes", type=int, default=1024, help="message length")
     parser.add_argument("--seed", type=int, default=0)
@@ -35,20 +34,12 @@ def main(argv=None) -> int:
     cover = stego.GrayImage(256, 256, random.Random(args.seed).randbytes(256 * 256))
 
     message = bytes(rng.getrandbits(8) for _ in range(args.bytes))
-    bits = [(byte >> (7 - j)) & 1 for byte in message for j in range(8)]
+    bits = bytes_to_bits_msb_first(message)
 
-    if args.cipher == "trivium":
-        sim = TriviumSim(
-            [rng.randint(0, 1) for _ in range(80)],
-            [rng.randint(0, 1) for _ in range(80)],
-            Mode(args.mode),
-        )
-    else:
-        sim = GrainSim(
-            [rng.randint(0, 1) for _ in range(128)],
-            [rng.randint(0, 1) for _ in range(96)],
-            Mode(args.mode),
-        )
+    cls = SIMS[args.cipher]
+    key = [rng.randint(0, 1) for _ in range(len(cls.KEY))]
+    iv = [rng.randint(0, 1) for _ in range(len(cls.IV))]
+    sim = cls(key, iv, Mode(args.mode))
     ks = sim.keystream(len(bits))
     stego_img = stego.embed_lsb(cover, stego.StegoPayload(xorcrypt(bits, ks)))
 

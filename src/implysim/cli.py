@@ -27,8 +27,6 @@ from .reference import (
 )
 from .shifting import Mode, count_elements, write_csv
 
-_CIPHERS = ("trivium", "grain128a")
-
 
 def _count(text: str) -> int:
     """argparse type for a non-negative count."""
@@ -53,8 +51,7 @@ def _key_iv_bits(cipher: str, key_hex: str, iv_hex: str):
 
 def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode):
     key, iv = _key_iv_bits(cipher, key_hex, iv_hex)
-    cls = trivium_cim.TriviumSim if cipher == "trivium" else grain_cim.GrainSim
-    return cls(key, iv, mode)
+    return costs.SIMS[cipher](key, iv, mode)
 
 
 def _check_output(*paths: str | None) -> None:
@@ -183,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, n_flag=False):
-        p.add_argument("--cipher", choices=_CIPHERS, required=True)
+        p.add_argument("--cipher", choices=list(costs.SIMS), required=True)
         p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.PROPOSED.value)
         p.add_argument("--key", required=True, help="hex key (trivium: 20 chars, grain128a: 32)")
         p.add_argument("--iv", required=True, help="hex IV (trivium: 20 chars, grain128a: 24)")
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stego)
 
     p = sub.add_parser("plan", help="dump a register's shift plan and element counts")
-    p.add_argument("--cipher", choices=_CIPHERS)
+    p.add_argument("--cipher", choices=list(costs.SIMS))
     p.add_argument("--register", choices=list(_REGISTERS), required=True)
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.PROPOSED.value)
     p.add_argument("--cycles", type=_count, default=1)

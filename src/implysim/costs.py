@@ -20,6 +20,17 @@ from .programs import AccountingError, PhaseCost, programs_for
 from .shifting import Mode
 from .trivium_cim import TriviumSim
 
+#: cipher name -> sim class, the one place a name picks its cipher
+SIMS = {cls.CIPHER: cls for cls in (TriviumSim, GrainSim)}
+
+
+def _census_rows(census: dict) -> list[tuple[str, int]]:
+    """(``kind[tag]`` label, count) pairs, sorted by kind then tag."""
+    return [
+        (kind.value + (f"[{tag}]" if tag else ""), n)
+        for (kind, tag), n in sorted(census.items(), key=lambda kv: (kv[0][0].value, str(kv[0][1])))
+    ]
+
 
 @dataclass
 class CostReport:
@@ -47,12 +58,7 @@ class CostReport:
                 "cycles": p.cycles,
                 "steps": p.steps,
                 "energy_uj": round(p.energy_uj, 7),
-                "census": {
-                    f"{kind.value}" + (f"[{tag}]" if tag else ""): n
-                    for (kind, tag), n in sorted(
-                        p.census.items(), key=lambda kv: (kv[0][0].value, str(kv[0][1]))
-                    )
-                },
+                "census": dict(_census_rows(p.census)),
             }
 
         return {
@@ -127,7 +133,7 @@ def _simulated(cipher: str, mode: Mode) -> ClosedForm:
     """Slope: the steady keystream program.  Intercept: the programs of every
     cycle through its first run, summed cycle by cycle, less n * slope."""
     try:
-        cls = {sim.CIPHER: sim for sim in (TriviumSim, GrainSim)}[cipher]
+        cls = SIMS[cipher]
     except KeyError:
         raise AccountingError(f"no simulated form for {cipher}/{mode.value}") from None
     programs = programs_for(cls, mode)
@@ -178,7 +184,7 @@ def compare(report: CostReport, n: Optional[int] = None) -> dict:
 def improvement_ratios() -> dict:
     """Asymptotic step/energy reductions of the proposed scheme (published slopes)."""
     out = {}
-    for cipher in ("trivium", "grain128a"):
+    for cipher in SIMS:
         conv = get_closed_form(cipher, Mode.CONVENTIONAL)
         prop = get_closed_form(cipher, Mode.PROPOSED)
         out[cipher] = {
@@ -229,7 +235,6 @@ def report_table(report: CostReport) -> str:
     for p in (report.init, report.keystream):
         for key, nn in p.census.items():
             merged[key] = merged.get(key, 0) + nn
-    for (kind, tag), nn in sorted(merged.items(), key=lambda kv: (kv[0][0].value, str(kv[0][1]))):
-        label = kind.value + (f"[{tag}]" if tag else "")
+    for label, nn in _census_rows(merged):
         lines.append(f"  {label:<28} {nn}")
     return "\n".join(lines)

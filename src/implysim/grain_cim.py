@@ -17,22 +17,19 @@ bit is folded into both register feedbacks with two extra destructive XOR2.
 
 Values flow from index 127 toward index 0 in both registers, so the shift
 planner sees position 1 as cell 127 and position 128 as cell 0.  ``GrainSim``
-declares the registers and this logic; ``CipherSim`` appends the shifts and
-derives the taps from the cells the logic reads, and ``LFSR_TAP_IDX`` and
-``NFSR_TAP_IDX`` restate them as register indices.
+declares the key, IV and constant cells, the registers and this logic;
+``CipherSim`` loads the key and IV, appends the shifts and derives the taps
+from the cells the logic reads, and ``LFSR_TAP_IDX`` and ``NFSR_TAP_IDX``
+restate them as register indices.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .gates import GateKind
 from .programs import CipherSim, ProgramBuilder
-from .reference import InputError
 
 PREINIT_CYCLES = 256
 
-MEMRISTORS_ALLOCATED = 263
 MEMRISTORS_PREINIT = 262
 MEMRISTORS_KEYSTREAM = 263
 
@@ -65,23 +62,6 @@ _NFSR_PRODUCTS = (
 )
 _LFSR_TERMS = (0, 7, 38, 70, 81, 96)
 _Y_NFSR_TERMS = (2, 15, 36, 45, 64, 73, 89)
-
-
-def load_key_iv(key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:
-    """key -> b0..b127, iv -> s0..s95, s96..s126 = 1, s127 = 0."""
-    if len(key) != 128:
-        raise InputError(f"key must be 128 bits, got {len(key)}")
-    if len(iv) != 96:
-        raise InputError(f"iv must be 96 bits, got {len(iv)}")
-    full = (1 << width) - 1
-    cells = [0] * MEMRISTORS_ALLOCATED
-    for i in range(128):
-        cells[b(i)] = key[i] & full
-    for i in range(96):
-        cells[s(i)] = iv[i] & full
-    for i in range(96, 127):
-        cells[s(i)] = full
-    return cells
 
 
 class _Pool:
@@ -140,7 +120,10 @@ class GrainSim(CipherSim):
         "NFSR": tuple(b(127 - j) for j in range(NB)),
     }
     OUT = OUT
-    load_key_iv = staticmethod(load_key_iv)
+    # key -> b0..b127, iv -> s0..s95, s96..s126 set, s127 left 0
+    KEY = tuple(map(b, range(128)))
+    IV = tuple(map(s, range(96)))
+    ONES = tuple(map(s, range(96, 127)))
 
     @staticmethod
     def _logic(pb: ProgramBuilder, keystream: bool):

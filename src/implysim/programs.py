@@ -295,17 +295,22 @@ class CipherSim:
     """One cipher instance on the array; lanes advance in lockstep.
 
     A cipher supplies ``CIPHER``, ``INIT_CYCLES``, ``MEMRISTORS``, the output
-    cell ``OUT``, ``load_key_iv(key, iv, width)``, ``REGISTERS`` (name ->
-    contiguous cells in flow order, in plan-row order) and the static
-    ``_logic(pb, keystream)``, which appends one cycle's logic gates and
-    returns each register's injection source by name and the scratch cell.
-    ``LAYOUTS`` is derived from the logic: a register's taps are its cells
-    that either phase reads before writing them.
+    cell ``OUT`` (the row's last cell), ``KEY`` and ``IV`` (the cells their
+    bits load into, in bit order), ``ONES`` (the cells set in every lane at
+    load), ``REGISTERS`` (name -> contiguous cells in flow order, in plan-row
+    order) and the static ``_logic(pb, keystream)``, which appends one
+    cycle's logic gates and returns each register's injection source by name
+    and the scratch cell.  ``LAYOUTS`` is derived from the logic: a
+    register's taps are its cells that either phase reads before writing
+    them.
     """
 
     CIPHER: str
     INIT_CYCLES: int
     MEMRISTORS: dict
+    KEY: tuple[CellId, ...]
+    IV: tuple[CellId, ...]
+    ONES: tuple[CellId, ...]
     REGISTERS: dict
     LAYOUTS: dict
     OUT: int
@@ -330,6 +335,28 @@ class CipherSim:
             pb.shift_register(cells, sources[name], row, scratch, name)
         return pb.compiled()
 
+    @classmethod
+    def load_key_iv(cls, key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:
+        """The initial row of ``OUT + 1`` cells: key and iv bits in ``KEY``
+        and ``IV``, ``ONES`` set, every other cell 0.
+
+        Entries are width-bit masks so that many key/IV pairs load at once.
+        """
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        for name, bits, cells in (("key", key, cls.KEY), ("iv", iv, cls.IV)):
+            if len(bits) != len(cells):
+                raise InputError(f"{name} must be {len(cells)} bits, got {len(bits)}")
+        full = (1 << width) - 1
+        if any(not 0 <= x <= full for x in (*key, *iv)):
+            raise InputError(f"key and iv entries must be {width}-bit masks in [0, {full}]")
+        row = [0] * (cls.OUT + 1)
+        for cell, x in zip((*cls.KEY, *cls.IV), (*key, *iv)):
+            row[cell] = x
+        for cell in cls.ONES:
+            row[cell] = full
+        return row
+
     def __init__(
         self,
         key: Sequence[int],
@@ -338,14 +365,10 @@ class CipherSim:
         width: int = 1,
         trace: TraceFn | None = None,
     ):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
+        self.cells = self.load_key_iv(key, iv, width)
         self.mode = mode
         self.width = width
         self.full = (1 << width) - 1
-        if any(not 0 <= x <= self.full for x in (*key, *iv)):
-            raise InputError(f"key and iv entries must be {width}-bit masks in [0, {self.full}]")
-        self.cells = self.load_key_iv(key, iv, width)
         self.cycle = 0  # completed cycles, 1-based during execution
         self.trace = trace
         self._programs = programs_for(type(self), mode)

@@ -11,18 +11,16 @@ more destructive XOR2 (27 steps); in the keystream phase the output bit
 costs two further destructive XOR2 (18 steps).  That is 96 logic steps per
 initialization cycle and 114 per keystream cycle, with destructive XOR
 operands always bound so that the overwritten cell is either expiring
-(A93/B84/C111) or scratch.  ``TriviumSim`` declares the registers and this
-logic; ``CipherSim`` appends the shifts under the selected plan and derives
-each register's taps from the cells the logic reads.
+(A93/B84/C111) or scratch.  ``TriviumSim`` declares the key, IV and
+constant cells, the registers and this logic; ``CipherSim`` loads the key
+and IV, appends the shifts under the selected plan and derives each
+register's taps from the cells the logic reads.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .gates import GateKind
 from .programs import CipherSim, ProgramBuilder
-from .reference import InputError
 
 INIT_CYCLES = 1152
 
@@ -48,25 +46,6 @@ def c(pos: int) -> int:
     return C0 + pos - 1
 
 
-def load_key_iv(key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:
-    """Initial cell row: key in A's 80 LSBs, IV in B's, C109..C111 set.
-
-    Entries may be width-bit masks so that many key/IV pairs load at once.
-    """
-    if len(key) != 80:
-        raise InputError(f"key must be 80 bits, got {len(key)}")
-    if len(iv) != 80:
-        raise InputError(f"iv must be 80 bits, got {len(iv)}")
-    full = (1 << width) - 1
-    cells = [0] * MEMRISTORS_ALLOCATED
-    for i in range(80):
-        cells[a(i + 1)] = key[i] & full
-        cells[b(i + 1)] = iv[i] & full
-    for pos in (109, 110, 111):
-        cells[c(pos)] = full
-    return cells
-
-
 class TriviumSim(CipherSim):
     """One Trivium instance on the array; lanes advance in lockstep."""
 
@@ -76,7 +55,10 @@ class TriviumSim(CipherSim):
     # position 1, the injected cell, first
     REGISTERS = {"A": tuple(range(A0, B0)), "B": tuple(range(B0, C0)), "C": tuple(range(C0, S[0]))}
     OUT = OUT
-    load_key_iv = staticmethod(load_key_iv)
+    # key in A's 80 LSBs, IV in B's, C109..C111 set
+    KEY = tuple(map(a, range(1, 81)))
+    IV = tuple(map(b, range(1, 81)))
+    ONES = (c(109), c(110), c(111))
 
     @staticmethod
     def _logic(pb: ProgramBuilder, keystream: bool):

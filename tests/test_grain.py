@@ -9,7 +9,6 @@ from implysim.grain_cim import (
     PREINIT_CYCLES,
     GrainSim,
     b,
-    load_key_iv,
     s,
 )
 from implysim.reference import InputError, grain128a_ref
@@ -26,22 +25,35 @@ PREINIT_STEPS_CORRECT = (
 
 
 def test_load_key_iv_placement():
-    cells = load_key_iv([0] * 128, [0] * 96)
+    cells = GrainSim.load_key_iv([0] * 128, [0] * 96)
     hot = [i for i, v in enumerate(cells) if v]
     assert hot == [s(i) for i in range(96, 127)]  # only the LFSR fill ones
     key = [0] * 128
     key[0] = 1
-    assert load_key_iv(key, [0] * 96)[b(0)] == 1
-    cells = load_key_iv([0] * 128, [1] * 96)
+    assert GrainSim.load_key_iv(key, [0] * 96)[b(0)] == 1
+    cells = GrainSim.load_key_iv([0] * 128, [1] * 96)
     assert all(cells[s(i)] == 1 for i in range(96))
     assert cells[s(127)] == 0
 
 
 def test_load_rejects_wrong_lengths():
     with pytest.raises(InputError):
-        load_key_iv([0] * 127, [0] * 96)
+        GrainSim.load_key_iv([0] * 127, [0] * 96)
     with pytest.raises(InputError):
-        load_key_iv([0] * 128, [0] * 97)
+        GrainSim.load_key_iv([0] * 128, [0] * 97)
+
+
+def test_direct_load_checks_entries_width_and_row_length():
+    # a direct call must not mask a non-bit entry down to a valid one
+    with pytest.raises(InputError, match="key and iv entries"):
+        GrainSim.load_key_iv([3] * 128, [0] * 96)
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        GrainSim.load_key_iv([0] * 128, [0] * 96, width=0)
+    assert len(GrainSim.load_key_iv([0] * 128, [0] * 96)) == MEMRISTORS_KEYSTREAM
+    # lanes: each entry is a mask; the constants are set in every lane
+    cells = GrainSim.load_key_iv([3] * 128, [1] * 96, width=2)
+    assert [cells[b(0)], cells[b(127)]] == [3, 3]
+    assert [cells[s(0)], cells[s(95)], cells[s(96)], cells[s(126)], cells[s(127)]] == [1, 1, 3, 3, 0]
 
 
 def test_memristor_budget():

@@ -141,9 +141,9 @@ def test_trivium_loaded_state_has_only_key_iv_and_c_tail_set():
     # reconstructed via a zero-warmup variant: all-zero key/iv keystream
     # depends only on the three fixed ones in register C, so a run starting
     # from the wrong fill would diverge; cheap structural check instead
-    from implysim.trivium_cim import load_key_iv, c
+    from implysim.trivium_cim import TriviumSim, c
 
-    cells = load_key_iv([0] * 80, [0] * 80)
+    cells = TriviumSim.load_key_iv([0] * 80, [0] * 80)
     hot = [i for i, v in enumerate(cells) if v]
     assert hot == [c(109), c(110), c(111)]
 

@@ -13,19 +13,18 @@ from implysim.trivium_cim import (
     a,
     b,
     c,
-    load_key_iv,
 )
 
 
 def test_load_key_iv_placement():
     key = [1] * 80
     iv = [0] * 80
-    cells = load_key_iv(key, iv)
+    cells = TriviumSim.load_key_iv(key, iv)
     assert all(cells[a(i)] == 1 for i in range(1, 81))
     assert all(cells[a(i)] == 0 for i in range(81, 94))
     iv2 = [0] * 80
     iv2[0] = 1
-    cells = load_key_iv([0] * 80, iv2)
+    cells = TriviumSim.load_key_iv([0] * 80, iv2)
     assert cells[b(1)] == 1
     assert sum(cells[b(i)] for i in range(1, 85)) == 1
     assert [cells[c(i)] for i in (109, 110, 111)] == [1, 1, 1]
@@ -33,11 +32,25 @@ def test_load_key_iv_placement():
 
 def test_load_rejects_wrong_lengths():
     with pytest.raises(InputError):
-        load_key_iv([0] * 79, [0] * 80)
+        TriviumSim.load_key_iv([0] * 79, [0] * 80)
     with pytest.raises(InputError):
-        load_key_iv([0] * 80, [0] * 79)
+        TriviumSim.load_key_iv([0] * 80, [0] * 79)
     with pytest.raises(ValueError):
         TriviumSim([0] * 80, [0] * 80).keystream(-1)
+
+
+def test_direct_load_checks_entries_width_and_row_length():
+    # a direct call must not mask a non-bit entry down to a valid one
+    with pytest.raises(InputError, match="key and iv entries"):
+        TriviumSim.load_key_iv([2] * 80, [0] * 80)
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        TriviumSim.load_key_iv([0] * 80, [0] * 80, width=0)
+    assert len(TriviumSim.load_key_iv([0] * 80, [0] * 80)) == MEMRISTORS_ALLOCATED
+    # lanes: each entry is a mask; the constants are set in every lane
+    cells = TriviumSim.load_key_iv([3] * 80, [1] * 80, width=2)
+    assert [cells[a(1)], cells[a(80)], cells[a(81)]] == [3, 3, 0]
+    assert [cells[b(1)], cells[b(80)], cells[b(81)]] == [1, 1, 0]
+    assert [cells[c(i)] for i in (108, 109, 110, 111)] == [0, 3, 3, 3]
 
 
 def test_taps_derived_from_the_logic():

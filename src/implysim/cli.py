@@ -55,13 +55,18 @@ def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode):
 
 
 def _check_output(*paths: str | None) -> None:
-    """Fail before any work runs if an output path cannot be written.
+    """Fail before any work runs if an output path cannot be written, or if
+    two outputs name one file, which would keep only the last one written.
 
     Nothing is opened here: outputs are written only once the work has
     succeeded, so a failed run leaves an existing file as it was.
     """
+    seen = set()
     for path in filter(None, paths):
         target = Path(path)
+        if (resolved := target.resolve()) in seen:
+            raise InputError(f"two outputs name the same file: {path}")
+        seen.add(resolved)
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not target.parent.is_dir():
@@ -81,7 +86,7 @@ def _emit_report(sim, fmt: str, out_path: str | None) -> None:
 
 def cmd_keystream(args) -> int:
     sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
-    _check_output(args.out, args.report_out)
+    _check_output(args.out, args.report_out, args.trace)
     # the trace file is opened only once the key, IV and outputs have passed
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
         if trace_file:

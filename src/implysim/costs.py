@@ -115,6 +115,7 @@ def closed_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
 
 
 def get_closed_form(cipher: str, mode: Mode) -> ClosedForm:
+    mode = Mode(mode)
     try:
         row = PUBLISHED_FORMS[(cipher, mode)]
     except KeyError:
@@ -125,7 +126,7 @@ def get_closed_form(cipher: str, mode: Mode) -> ClosedForm:
 
 def simulated_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
     """(steps, energy uJ) for n keystream bits, as the simulator runs them."""
-    return _simulated(cipher, mode).at(n)
+    return _simulated(cipher, Mode(mode)).at(n)
 
 
 @functools.cache

@@ -1,19 +1,21 @@
 """Cycle programs and the simulation core shared by the cipher mappings.
 
-A cycle program is the full micro-op sequence of one processing cycle: the
-cipher logic followed by every register's shift transfers under that cycle's
-plan row.  The logic is stored as runs of consecutive same-kind gates, each
+A cycle program is the full micro-op sequence of one processing cycle: its
+phase's cipher logic followed by every register's shift transfers under that
+cycle's plan row.  The logic is the same in every cycle of a phase and in
+both modes, so each sim class compiles it once per phase and all programs of
+a phase share it.  It is stored as runs of consecutive same-kind gates, each
 run one gate kind's kernel (see ``gates``) and the operand tuples it loops
 over.  Each register's shift stage is one ``ShiftStage``, which runs as a
 single slice move over the register's contiguous cells; its ``ops`` expand
 the stage's buffer and inverter pulses, so ``CycleProgram.ops`` and
-``engine.execute`` remain the pulse-level reference and the trace path.
-The sequence does not depend on the key, IV or lane data, so one
+``engine.execute`` remain the pulse-level reference and the trace path.  The
+sequence does not depend on the key, IV or lane data, so one
 ``ProgramCache`` per cipher × mode, built by ``programs_for`` on first use,
-holds every program, and all sims of that cipher × mode share it.  After
-the plans' transitional prefix every cycle of a phase runs the same program,
-so ``CipherSim`` runs those cycles as one segment and keeps one run count
-per program instead of accounting each cycle.
+holds every program, and all sims of that cipher × mode share it.  After the
+plans' transitional prefix every cycle of a phase runs the same program, so
+``CipherSim`` runs those cycles as one segment and keeps one run count per
+program instead of accounting each cycle.
 """
 
 from __future__ import annotations
@@ -165,12 +167,13 @@ class CycleProgram:
 
 
 class ProgramBuilder:
-    """Accumulates gates, then shift stages, into one compiled cycle;
-    ``reads`` holds the cells its gates read before any gate writes them."""
+    """Accumulates one phase's logic gates into a stage-less cycle program;
+    ``reads`` holds the cells its gates read before any gate writes them.
+    Builders given one ``interned`` dict share each distinct operand tuple."""
 
-    def __init__(self):
+    def __init__(self, interned: dict | None = None):
         self._runs: list[tuple[GateSpec, list]] = []
-        self._stages: list[ShiftStage] = []
+        self._interned = {} if interned is None else interned
         self._census: Counter = Counter()
         self.reads: set[CellId] = set()
         self._written: set[CellId] = set()
@@ -186,8 +189,7 @@ class ProgramBuilder:
             raise OperandError(f"{kind.value} needs {spec.works} work cells, got {len(works)}")
         if len(set(operands)) != len(operands):
             raise OperandError(f"{kind.value} operand/work cells must be distinct: {operands}")
-        if self._stages:
-            raise LayoutError("a cycle's logic gates must precede its shift stages")
+        operands = self._interned.setdefault(operands, operands)
         if self._runs and self._runs[-1][0] is spec:
             self._runs[-1][1].append(operands)
         else:
@@ -197,20 +199,10 @@ class ProgramBuilder:
         self._written.update(operands[q] for _p, q in spec.pulses)
         return operands[spec.out]
 
-    def shift_register(self, cells, source: CellId, elements, scratch: CellId, tag: str) -> None:
-        """Append a register's shift stage under ``elements``, its plan row
-        for this cycle; ``cells`` are its contiguous cell ids in flow order
-        (position 1 first)."""
-        stage = ShiftStage(tuple(cells), source, scratch, bytes(elements))
-        self._stages.append(stage)
-        for kind, n in stage.census:
-            self._census[(kind, tag)] += n
-
     def compiled(self) -> CycleProgram:
         runs = tuple((spec, tuple(operands)) for spec, operands in self._runs)
         steps = sum(len(spec.pulses) * len(operands) for spec, operands in runs)
-        steps += sum(stage.steps for stage in self._stages)
-        return CycleProgram(runs, tuple(self._census.items()), steps, tuple(self._stages))
+        return CycleProgram(runs, tuple(self._census.items()), steps)
 
 
 class ProgramCache:
@@ -218,9 +210,10 @@ class ProgramCache:
 
     Programs are built for every cycle up to the shift plans' parity fixed
     point, one per distinct (phase, plan rows); later cycles repeat the last
-    one.  Every program's operand tuples and shift stages are interned, so
-    the programs share one object per distinct operand tuple or stage.
-    Neither plans nor build tables are kept.
+    one.  Each program is its phase's compiled logic, whose runs it shares
+    by reference, plus that cycle's shift stages.  The stages are interned,
+    so the programs share one object per distinct stage.  Neither plans nor
+    build tables are kept.
     """
 
     def __init__(self, cls: type[CipherSim], mode: Mode):
@@ -228,7 +221,7 @@ class ProgramCache:
         #: first cycle from which every register repeats its steady row
         self.steady_from = 1 + max(len(p.prefix) for p in plans)
         self.init_cycles = cls.INIT_CYCLES
-        interned: dict[tuple, tuple] = {}
+        interned: dict[ShiftStage, ShiftStage] = {}
         by_rows: dict = {}
 
         def program(keystream: bool, cycle: int) -> CycleProgram:
@@ -236,11 +229,8 @@ class ProgramCache:
             prog = by_rows.get((keystream, rows))
             if prog is None:
                 built = cls._build_cycle(keystream, rows)
-                runs = tuple(
-                    (spec, tuple(interned.setdefault(x, x) for x in operands)) for spec, operands in built.runs
-                )
                 stages = tuple(interned.setdefault(stage, stage) for stage in built.stages)
-                prog = by_rows[keystream, rows] = CycleProgram(runs, built.census, built.steps, stages)
+                prog = by_rows[keystream, rows] = CycleProgram(built.runs, built.census, built.steps, stages)
             return prog
 
         last_init = min(self.init_cycles, self.steady_from)
@@ -299,10 +289,10 @@ class CipherSim:
     bits load into, in bit order), ``ONES`` (the cells set in every lane at
     load), ``REGISTERS`` (name -> contiguous cells in flow order, in plan-row
     order) and the static ``_logic(pb, keystream)``, which appends one
-    cycle's logic gates and returns each register's injection source by name
-    and the scratch cell.  ``LAYOUTS`` is derived from the logic: a
-    register's taps are its cells that either phase reads before writing
-    them.
+    phase's logic gates and returns each register's injection source by name
+    and the scratch cell.  It runs once per phase, at class creation, into
+    ``_LOGIC``; ``LAYOUTS`` is derived from it: a register's taps are its
+    cells that either phase reads before writing them.
     """
 
     CIPHER: str
@@ -313,13 +303,18 @@ class CipherSim:
     ONES: tuple[CellId, ...]
     REGISTERS: dict
     LAYOUTS: dict
+    _LOGIC: tuple  # per phase: (compiled logic, register sources, scratch cell)
     OUT: int
 
     def __init_subclass__(cls):
         reads: set[CellId] = set()
+        interned: dict[tuple, tuple] = {}
+        logic = []
         for keystream in (False, True):
-            cls._logic(pb := ProgramBuilder(), keystream)
+            sources, scratch = cls._logic(pb := ProgramBuilder(interned), keystream)
             reads |= pb.reads
+            logic.append((pb.compiled(), sources, scratch))
+        cls._LOGIC = tuple(logic)
         cls.LAYOUTS = {}
         for name, cells in cls.REGISTERS.items():
             taps = frozenset(m for m, cell in enumerate(cells, 1) if cell in reads)
@@ -327,13 +322,18 @@ class CipherSim:
 
     @classmethod
     def _build_cycle(cls, keystream: bool, rows) -> CycleProgram:
-        """One cycle's program: the logic, then each register's shift stage
-        under its plan row (``rows`` in ``REGISTERS`` order)."""
-        pb = ProgramBuilder()
-        sources, scratch = cls._logic(pb, keystream)
+        """One cycle's program: the phase's compiled logic, then each
+        register's shift stage under its plan row (``rows`` in ``REGISTERS``
+        order), tagged with the register's name in the census."""
+        logic, sources, scratch = cls._LOGIC[keystream]
+        census = Counter(dict(logic.census))
+        stages = []
         for (name, cells), row in zip(cls.REGISTERS.items(), rows, strict=True):
-            pb.shift_register(cells, sources[name], row, scratch, name)
-        return pb.compiled()
+            stages.append(stage := ShiftStage(cells, sources[name], scratch, bytes(row)))
+            for kind, n in stage.census:
+                census[(kind, name)] += n
+        steps = logic.steps + sum(stage.steps for stage in stages)
+        return CycleProgram(logic.runs, tuple(census.items()), steps, tuple(stages))
 
     @classmethod
     def load_key_iv(cls, key: Sequence[int], iv: Sequence[int], width: int = 1) -> list[int]:
@@ -365,13 +365,13 @@ class CipherSim:
         width: int = 1,
         trace: TraceFn | None = None,
     ):
+        self.mode = Mode(mode)
         self.cells = self.load_key_iv(key, iv, width)
-        self.mode = mode
         self.width = width
         self.full = (1 << width) - 1
         self.cycle = 0  # completed cycles, 1-based during execution
         self.trace = trace
-        self._programs = programs_for(type(self), mode)
+        self._programs = programs_for(type(self), self.mode)
         self.init = Phase()
         self.keystream_phase = Phase()
 

@@ -111,8 +111,10 @@ def plan(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
 
     Position m's parity depends only on position m-1's, and the injected
     value's parity is always 0, so position m's parity is constant after m
-    cycles: ``length + 1`` cycles always reach the fixed point.
+    cycles: ``length + 1`` cycles always reach the fixed point.  ``mode``
+    may be a ``Mode`` or its value; anything else raises ``ValueError``.
     """
+    mode = Mode(mode)
     n = layout.length
     taps = layout.taps
     free = Element.INVERTER if mode is Mode.PROPOSED else Element.BUFFER

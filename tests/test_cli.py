@@ -523,3 +523,38 @@ def test_failed_run_leaves_existing_output_unchanged(tmp_path, capsys, monkeypat
         with pytest.raises(KeyboardInterrupt):
             main(["crypt", *common, "--in", str(existing), "--out", str(existing)])
     assert existing.read_bytes() == b"keep me"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot"])
+@pytest.mark.parametrize("command", ["keystream-trace-out", "keystream-out-report-out", "extract-out-report-out"])
+def test_two_outputs_naming_one_file_fail_before_keystream(tmp_path, capsys, monkeypatch, command, spelling):
+    calls = []
+    monkeypatch.setattr(CipherSim, "keystream", lambda sim, n: calls.append(n) or [0] * n)
+    _cover, _msg, stego_path = _stego_inputs(tmp_path)
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"keep me")
+    # pathlib drops "." components, so spell the second name as a string
+    first, second = str(existing), str(existing) if spelling == "same" else f"{tmp_path}/./existing"
+    common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T]
+    report = ["--report", "json", "--report-out", second]
+    argv = {
+        "keystream-trace-out": ["keystream", *common, "-n", "8", "--trace", first, "--out", second],
+        "keystream-out-report-out": ["keystream", *common, "-n", "8", "--out", first, *report],
+        "extract-out-report-out": ["stego", "extract", *common, "--stego", str(stego_path), "--out", first, *report],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "same file" in err
+    assert calls == []
+    assert existing.read_bytes() == b"keep me"
+
+
+def test_crypt_may_read_and_write_one_file(tmp_path):
+    # the input is not an output: encrypting in place, then again, restores it
+    path = tmp_path / "msg.bin"
+    path.write_bytes(b"in place")
+    argv = ["crypt", "--cipher", "trivium", "--key", KEY_T, "--iv", IV_T, "--in", str(path), "--out", str(path)]
+    assert main(argv) == 0
+    assert path.read_bytes() != b"in place"
+    assert main(argv) == 0
+    assert path.read_bytes() == b"in place"

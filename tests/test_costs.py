@@ -19,7 +19,7 @@ from implysim.costs import (
 from implysim.gates import GATE_METRICS, GateKind
 from implysim.grain_cim import GrainSim
 from implysim.programs import CycleProgram
-from implysim.shifting import Mode
+from implysim.shifting import Mode, plan
 from implysim.trivium_cim import TriviumSim
 
 # published closed-form evaluations (steps, energy uJ)
@@ -210,3 +210,31 @@ def test_closed_form_table_contains_published_columns():
     table = closed_form_table()
     for needle in ("710*n+797266", "12957696", "683.6811", "0.0478*n+53.4731"):
         assert needle in table
+
+
+def _sim_report(mode):
+    sim = TriviumSim([0] * 80, [1] * 80, mode)
+    sim.keystream(2)
+    return aggregate(sim).to_json()
+
+
+#: every entry point that takes a mode, run on one input
+_MODE_CALLS = {
+    "plan": lambda mode: plan(TriviumSim.LAYOUTS["A"], mode),
+    "sim": _sim_report,
+    "simulated_form": lambda mode: simulated_form("trivium", mode, 0),
+    "closed_form": lambda mode: closed_form("trivium", mode, 0),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("call", list(_MODE_CALLS))
+def test_a_mode_given_by_its_value_runs_that_mode(call, mode):
+    assert _MODE_CALLS[call](mode.value) == _MODE_CALLS[call](mode)
+
+
+@pytest.mark.parametrize("bad", ["bogus", "PROPOSED", None, 1])
+@pytest.mark.parametrize("call", list(_MODE_CALLS))
+def test_a_mode_outside_the_enum_is_rejected(call, bad):
+    with pytest.raises(ValueError):
+        _MODE_CALLS[call](bad)

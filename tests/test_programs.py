@@ -17,7 +17,7 @@ from implysim import costs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import ProgramBuilder, ShiftStage
+from implysim.programs import ProgramBuilder, ProgramCache, ShiftStage
 from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
 from implysim.shifting import Element, Mode
 from implysim.trivium_cim import TriviumSim
@@ -188,23 +188,59 @@ def test_shift_stage_matches_interpreted_ops(descending, kind, width):
                 row[stage.source] = expected[stage.source] = rng.getrandbits(width)
 
 
+def _buffers(n):
+    return bytes((Element.BUFFER,) * n)
+
+
 @pytest.mark.parametrize("cells", [(0, 1, 3), (0, 2, 4), (5, 4, 2), (2, 3, 1), (3, 2, 4)])
 def test_non_contiguous_register_is_rejected(cells):
     with pytest.raises(LayoutError):
-        ProgramBuilder().shift_register(cells, 10, (Element.BUFFER,) * len(cells), 11, "r")
+        ShiftStage(cells, 10, 11, _buffers(len(cells)))
 
 
 def test_shift_stage_rejects_bad_operands():
-    pb = ProgramBuilder()
     with pytest.raises(OperandError):  # the source inside the register
-        pb.shift_register((0, 1, 2), 1, (Element.BUFFER,) * 3, 11, "r")
+        ShiftStage((0, 1, 2), 1, 11, _buffers(3))
     with pytest.raises(OperandError):  # the scratch is the source
-        pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 3, 10, "r")
+        ShiftStage((0, 1, 2), 10, 10, _buffers(3))
     with pytest.raises(LayoutError):  # a row that does not fit the register
-        pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 2, 11, "r")
-    pb.shift_register((0, 1, 2), 10, (Element.BUFFER,) * 3, 11, "r")
-    with pytest.raises(LayoutError):  # logic after the shift stages
-        pb.gate(GateKind.INVERTER, (3,), (4,))
+        ShiftStage((0, 1, 2), 10, 11, _buffers(2))
+    ShiftStage((0, 1, 2), 10, 11, _buffers(3))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_cache_build_reuses_each_phases_compiled_logic(cipher, mode, monkeypatch):
+    # a cache build adds shift stages to the logic compiled at class
+    # creation: it appends no gate, runs no _logic, and every program of a
+    # phase holds that phase's one runs tuple
+    cls = CIPHERS[cipher][0]
+    calls = []
+    gate = ProgramBuilder.gate
+    monkeypatch.setattr(ProgramBuilder, "gate", lambda *a, **k: calls.append("gate") or gate(*a, **k))
+    monkeypatch.setattr(cls, "_logic", staticmethod(lambda *a: calls.append("_logic")))
+    cache = ProgramCache(cls, mode)
+    assert calls == []
+    for keystream, progs in ((False, cache._init), (True, cache._keystream)):
+        logic = cls._LOGIC[keystream][0]
+        assert logic.stages == ()
+        assert all(prog.runs is logic.runs for prog in progs)
+        assert all(len(prog.stages) == len(cls.REGISTERS) for prog in progs)
+
+
+def test_logic_runs_once_per_phase_at_class_creation():
+    calls = []
+
+    class Probe(TriviumSim):
+        @staticmethod
+        def _logic(pb, keystream):
+            calls.append(keystream)
+            return TriviumSim._logic(pb, keystream)
+
+    assert calls == [False, True]
+    # the two phases' logic shares one object per distinct operand tuple
+    operands = [x for logic, _sources, _scratch in Probe._LOGIC for _spec, xs in logic.runs for x in xs]
+    assert len({id(x) for x in operands}) == len(set(operands))
 
 
 @pytest.mark.parametrize("width,bad", [(1, 2), (1, 3), (1, -1), (4, 16)])

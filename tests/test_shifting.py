@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from implysim.engine import execute
 from implysim.grain_cim import GrainSim
-from implysim.programs import ProgramBuilder
+from implysim.programs import ShiftStage
 from implysim.shifting import (
     Element,
     Mode,
@@ -233,7 +233,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
 
     init = [rnd.randint(0, 1) for _ in range(n)]
     inputs = [rnd.randint(0, 1) for _ in range(cycles)]
-    cells = list(range(n))
+    cells = tuple(range(n))
     src, scratch = n, n + 1
     state = init + [0, 0]
 
@@ -242,9 +242,7 @@ def test_proposed_plan_preserves_logical_values_under_macro_execution(layout, rn
     for t in range(1, cycles + 1):
         elems = plan.elements(t)
         state[src] = inputs[t - 1]
-        pb = ProgramBuilder()
-        pb.shift_register(cells, src, elems, scratch, "fuzz")
-        execute(state, 1, pb.compiled().ops)
+        execute(state, 1, ShiftStage(cells, src, scratch, bytes(elems)).ops)
         logical = [inputs[t - 1]] + logical[:-1]
         new_parity = [0] * (n + 1)
         for m in range(1, n + 1):

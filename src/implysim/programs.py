@@ -245,10 +245,13 @@ class ProgramCache:
         return self._keystream[min(cycle - self.init_cycles, len(self._keystream)) - 1]
 
 
-@functools.cache
+_cached = functools.cache(ProgramCache)  # keyed on (class, Mode)
+
+
 def programs_for(cls: type[CipherSim], mode: Mode) -> ProgramCache:
-    """The one program cache of ``cls`` × ``mode``, built on first use."""
-    return ProgramCache(cls, mode)
+    """The one program cache of ``cls`` × ``mode`` (a ``Mode`` or its value;
+    anything else raises ``ValueError``), built on first use."""
+    return _cached(cls, Mode(mode))
 
 
 class Phase:
@@ -329,7 +332,7 @@ class CipherSim:
         census = Counter(dict(logic.census))
         stages = []
         for (name, cells), row in zip(cls.REGISTERS.items(), rows, strict=True):
-            stages.append(stage := ShiftStage(cells, sources[name], scratch, bytes(row)))
+            stages.append(stage := ShiftStage(cells, sources[name], scratch, row))
             for kind, n in stage.census:
                 census[(kind, name)] += n
         steps = logic.steps + sum(stage.steps for stage in stages)

@@ -8,24 +8,27 @@ as a single inverter (2 steps, polarity flipping).
 
 Replacing buffers with inverters is sound as long as every *tap* -- a cell
 consumed by the cipher logic -- holds its true (uncomplemented) value at the
-start of every cycle.  ``plan`` tracks one parity bit per cell: a cell's
-stored bit equals its logical value XOR parity.  Transfers into tap cells are
-forced to whatever element zeroes the tap's parity; every other transfer is
-free and uses the mode's free element, the cheaper inverter when proposed
-and a buffer when conventional.  This greedy rule realises the published
-distance-parity scheme: a tap at distance d behind its feeding tap (or the
-register input) alternates buffer/inverter for d cycles and then settles on
-an inverter when d is odd and a buffer when d is even, and adjacent tap
-pairs are buffered in every cycle.  So every plan is a finite transitional
-prefix followed by one steady row, and ``plan`` always runs to that fixed
-point; horizons belong to the functions that read a plan.
+start of every cycle.  ``plan`` tracks one parity bit per cell, all of them
+in one int (bit m-1 for position m): a cell's stored bit equals its logical
+value XOR parity.  Transfers into tap cells are forced to whatever element
+zeroes the tap's parity; every other transfer is free and uses the mode's
+free element, the cheaper inverter when proposed and a buffer when
+conventional.  This greedy rule realises the published distance-parity
+scheme: a tap at distance d behind its feeding tap (or the register input)
+alternates buffer/inverter for d cycles and then settles on an inverter
+when d is odd and a buffer when d is even, and adjacent tap pairs are
+buffered in every cycle.  So every plan is a finite transitional prefix
+followed by one steady row, and ``plan`` always runs to that fixed point;
+horizons belong to the functions that read a plan.  A row is ``bytes``, byte
+m-1 = 1 where transfer m is an inverter (the form of ``ShiftStage.flips``),
+and each distinct row is one object shared by every cycle that uses it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .engine import LayoutError
 
@@ -74,15 +77,16 @@ class ShiftPlan:
     """Per-cycle element choice for each of a register's N transfers.
 
     Transfer m (1-based) writes into position m; transfer 1 is the injection.
-    ``prefix`` holds the transitional cycles; ``steady`` repeats afterwards.
+    A row is ``bytes``, byte m-1 an ``Element`` value.  ``prefix`` holds the
+    transitional cycles; ``steady`` repeats afterwards.
     """
 
     register: str
     length: int
-    prefix: tuple[tuple[Element, ...], ...]
-    steady: tuple[Element, ...]
+    prefix: tuple[bytes, ...]
+    steady: bytes
 
-    def elements(self, cycle: int) -> tuple[Element, ...]:
+    def elements(self, cycle: int) -> bytes:
         if cycle < 1:
             raise ValueError("cycles are 1-based")
         return self.prefix[cycle - 1] if cycle <= len(self.prefix) else self.steady
@@ -99,10 +103,11 @@ class ShiftPlan:
             raise ValueError("cycles are 1-based")
         if not (1 <= transfer <= self.length):
             raise ValueError(f"transfer {transfer} out of range")
-        upto = max(cycle, len(self.prefix))
-        rows = [list(self.elements(t)) for t in range(1, upto + 1)]
-        rows[cycle - 1][transfer - 1] = element
-        return ShiftPlan(self.register, self.length, tuple(tuple(r) for r in rows), self.steady)
+        rows = [self.elements(t) for t in range(1, max(cycle, len(self.prefix)) + 1)]
+        row = bytearray(rows[cycle - 1])
+        row[transfer - 1] = element
+        rows[cycle - 1] = bytes(row)
+        return ShiftPlan(self.register, self.length, tuple(rows), self.steady)
 
 
 def plan(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
@@ -116,27 +121,22 @@ def plan(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
     """
     mode = Mode(mode)
     n = layout.length
-    taps = layout.taps
-    free = Element.INVERTER if mode is Mode.PROPOSED else Element.BUFFER
-    pi = [0] * (n + 1)  # pi[0]: injected values are always true polarity
-    prefix: list[tuple[Element, ...]] = []
+    full = (1 << n) - 1
+    taps = sum(1 << (m - 1) for m in layout.taps)
+    free = full & ~taps if mode is Mode.PROPOSED else 0
+    rows: dict[int, bytes] = {}  # one bytes object per distinct row
+    prefix: list[bytes] = []
+    pi = 0  # parity of every position; injected values are true polarity
     for _ in range(n + 1):
-        elems = []
-        new_pi = [0] * (n + 1)
-        for m in range(1, n + 1):
-            src = pi[m - 1]
-            if m in taps:
-                e = Element.INVERTER if src else Element.BUFFER
-            else:
-                e = free
-            new_pi[m] = src ^ int(e)
-            elems.append(e)
-        row = tuple(elems)
-        if new_pi == pi:
+        src = (pi << 1) & full  # the parity each transfer reads
+        row = src & taps | free  # a tap's transfer cancels its source parity
+        if row not in rows:
+            rows[row] = bytes((row >> m) & 1 for m in range(n))
+        if src ^ row == pi:
             # parity state is a fixed point: this cycle repeats forever
-            return ShiftPlan(layout.name, n, tuple(prefix), row)
-        prefix.append(row)
-        pi = new_pi
+            return ShiftPlan(layout.name, n, tuple(prefix), rows[row])
+        prefix.append(rows[row])
+        pi = src ^ row
     raise SchedulingError(f"register {layout.name}: no parity fixed point in {n + 1} cycles")
 
 
@@ -144,17 +144,12 @@ def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: int) -> boo
     """True iff every tap has parity 0 at the start of each of cycles 1..cycles."""
     if layout.length != plan.length:
         raise LayoutError("plan/layout length mismatch")
-    n = layout.length
-    pi = [0] * (n + 1)
+    pi = [0] * layout.length  # pi[m - 1]: parity of position m
     for t in range(1, cycles + 1):
         # taps are consumed at the start of cycle t, before its shift
-        if any(pi[k] for k in layout.taps):
+        if any(pi[k - 1] for k in layout.taps):
             return False
-        elems = plan.elements(t)
-        new_pi = [0] * (n + 1)
-        for m in range(1, n + 1):
-            new_pi[m] = pi[m - 1] ^ int(elems[m - 1])
-        pi = new_pi
+        pi = apply_cycle(pi, 0, plan.elements(t))
     return True
 
 
@@ -175,13 +170,14 @@ def count_elements(plan: ShiftPlan, first: int, last: int) -> tuple[int, int]:
     return buffers, inverters
 
 
-def apply_cycle(stored: list[int], input_bit: int, elems: Iterable[Element]) -> list[int]:
-    """One cycle of stored-bit evolution under a plan row (software model)."""
-    elems = list(elems)
+def apply_cycle(stored: list[int], input_bit: int, elems: bytes) -> list[int]:
+    """One cycle of stored-bit evolution under a plan row (software model):
+    position m takes position m-1's bit, or ``input_bit`` at m = 1, XOR
+    ``elems[m - 1]``.  With ``input_bit`` 0 it steps a parity list."""
     out = list(stored)
     for m in range(len(stored), 0, -1):
         src = input_bit if m == 1 else stored[m - 2]
-        out[m - 1] = src ^ int(elems[m - 1])
+        out[m - 1] = src ^ elems[m - 1]
     return out
 
 

@@ -18,7 +18,7 @@ from implysim.costs import (
 )
 from implysim.gates import GATE_METRICS, GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import CycleProgram
+from implysim.programs import CycleProgram, programs_for
 from implysim.shifting import Mode, plan
 from implysim.trivium_cim import TriviumSim
 
@@ -95,10 +95,10 @@ def test_importing_the_cli_builds_no_program():
     code = (
         "import sys; built = []; sys.setprofile(lambda frame, event, arg: event == 'call'"
         " and frame.f_code.co_name == '_build_cycle' and built.append(1)); "
-        "import implysim.cli; from implysim.programs import programs_for; "
-        "print(programs_for.cache_info().currsize, len(built)); "
+        "import implysim.cli; from implysim.programs import _cached, programs_for; "
+        "print(_cached.cache_info().currsize, len(built)); "
         "sim = implysim.cli.trivium_cim.TriviumSim([0] * 80, [0] * 80); sys.setprofile(None); "
-        "print(programs_for.cache_info().currsize, len(built) > 0,"
+        "print(_cached.cache_info().currsize, len(built) > 0,"
         " programs_for(type(sim), sim.mode) is sim._programs)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -224,6 +224,7 @@ _MODE_CALLS = {
     "sim": _sim_report,
     "simulated_form": lambda mode: simulated_form("trivium", mode, 0),
     "closed_form": lambda mode: closed_form("trivium", mode, 0),
+    "programs_for": lambda mode: programs_for(TriviumSim, mode),  # a cache equals only itself
 }
 
 

@@ -13,13 +13,13 @@ from itertools import chain
 import pytest
 
 from conftest import lanes_to_masks, masks_to_lane, random_bits
-from implysim import costs
+from implysim import costs, programs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import ProgramBuilder, ProgramCache, ShiftStage
+from implysim.programs import ProgramBuilder, ProgramCache, ShiftStage, programs_for
 from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
-from implysim.shifting import Element, Mode
+from implysim.shifting import Element, Mode, plan
 from implysim.trivium_cim import TriviumSim
 
 CIPHERS = {
@@ -227,6 +227,32 @@ def test_cache_build_reuses_each_phases_compiled_logic(cipher, mode, monkeypatch
         assert all(prog.runs is logic.runs for prog in progs)
         assert all(len(prog.stages) == len(cls.REGISTERS) for prog in progs)
 
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_cache_stages_take_the_plan_rows_without_a_copy(cipher, mode, monkeypatch):
+    # every stage's flips is the very row object its register's plan holds
+    # for that cycle
+    cls = CIPHERS[cipher][0]
+    plans = []
+    monkeypatch.setattr(programs, "plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+    cache = ProgramCache(cls, mode)
+    assert [p.register for p in plans] == list(cls.REGISTERS)
+    for t in range(1, cls.INIT_CYCLES + cache.steady_from + 1):
+        stages = cache.program(t).stages
+        assert all(stage.flips is p.elements(t) for stage, p in zip(stages, plans, strict=True)), t
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_one_program_cache_per_class_and_mode(cipher, mode):
+    # a mode spelled by its value finds the same cache, and so do the sims;
+    # junk modes are rejected in tests/test_costs.py
+    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    cache = programs_for(cls, mode)
+    assert programs_for(cls, mode.value) is cache
+    assert cls([0] * key_len, [0] * iv_len, mode.value)._programs is cache
 
 def test_logic_runs_once_per_phase_at_class_creation():
     calls = []

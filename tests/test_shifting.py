@@ -264,3 +264,61 @@ def test_plan_to_fixed_point_within_register_length(layout, mode):
     assert len(plan.prefix) <= layout.length
     # the steady row keeps every tap at true polarity far past the fixed point
     assert verify_polarity(plan, layout, 4 * layout.length)
+
+
+def _nested_loop_plan(layout, mode):
+    """The planner's former per-position list walk (test reference): the
+    transitional rows and the steady row, each a tuple of ``Element``."""
+    n, taps = layout.length, layout.taps
+    free = Element.INVERTER if mode is Mode.PROPOSED else Element.BUFFER
+    pi = [0] * (n + 1)  # pi[0]: injected values are always true polarity
+    prefix = []
+    for _ in range(n + 1):
+        elems = []
+        new_pi = [0] * (n + 1)
+        for m in range(1, n + 1):
+            src = pi[m - 1]
+            e = (Element.INVERTER if src else Element.BUFFER) if m in taps else free
+            new_pi[m] = src ^ int(e)
+            elems.append(e)
+        if new_pi == pi:
+            return prefix, tuple(elems)
+        prefix.append(tuple(elems))
+        pi = new_pi
+    raise AssertionError("no parity fixed point")
+
+
+def _assert_rows_match_the_nested_loop_walk(layout, mode):
+    plan = plan_for(layout, mode)
+    prefix, steady = _nested_loop_plan(layout, mode)
+    assert plan.prefix == tuple(bytes(row) for row in prefix)
+    assert plan.steady == bytes(steady)
+
+
+CIPHER_LAYOUTS = [*TriviumSim.LAYOUTS.values(), *GrainSim.LAYOUTS.values()]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("layout", CIPHER_LAYOUTS, ids=lambda l: l.name)
+def test_plan_rows_match_the_nested_loop_walk(layout, mode):
+    _assert_rows_match_the_nested_loop_walk(layout, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.sampled_from(list(Mode)))
+def test_plan_rows_match_the_nested_loop_walk_on_random_layouts(layout, mode):
+    _assert_rows_match_the_nested_loop_walk(layout, mode)
+
+
+#: distinct rows per proposed plan; a conventional plan has one (all buffers)
+DISTINCT_PROPOSED_ROWS = {"A": 4, "B": 4, "C": 4, "LFSR": 10, "NFSR": 8}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("layout", CIPHER_LAYOUTS, ids=lambda l: l.name)
+def test_plan_shares_one_bytes_object_per_distinct_row(layout, mode):
+    plan = plan_for(layout, mode)
+    rows = (*plan.prefix, plan.steady)
+    assert all(type(row) is bytes for row in rows)
+    expected = DISTINCT_PROPOSED_ROWS[layout.name] if mode is Mode.PROPOSED else 1
+    assert len({id(row) for row in rows}) == len(set(rows)) == expected

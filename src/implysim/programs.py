@@ -15,7 +15,11 @@ sequence does not depend on the key, IV or lane data, so one
 holds every program, and all sims of that cipher × mode share it.  After the
 plans' transitional prefix every cycle of a phase runs the same program, so
 ``CipherSim`` runs those cycles as one segment and keeps one run count per
-program instead of accounting each cycle.
+program instead of accounting each cycle.  From then on every register cell
+holds its logical value XOR a constant parity P, so a segment more than one
+lane wide runs the program's ``SteadyTwin`` instead: P is XORed in once on
+entry and out once on exit, and in between each shift stage is a plain move
+with no inverter XOR.  Accounts still count the physical program.
 """
 
 from __future__ import annotations
@@ -128,6 +132,28 @@ class ShiftStage:
                 ops += _BUFFER.ops((src, scratch, cells[m - 1]))
         return ops
 
+    @property
+    def parity(self) -> tuple[CellId, ...]:
+        """The cells whose parity is 1 once this row repeats every cycle:
+        position m's is ``flips[0] ^ ... ^ flips[m - 1]``."""
+        p, odd = 0, []
+        for cell, f in zip(self.cells, self.flips):
+            p ^= f
+            if p:
+                odd.append(cell)
+        return tuple(odd)
+
+    @property
+    def logical(self) -> tuple:
+        """The stage's net effect when every cell holds its logical value
+        (see ``SteadyTwin``): ``(dst, src, head, source, last_buffer_src,
+        scratch)``.  The register move and the injection carry no flip;
+        ``scratch`` still takes NOT ``last_buffer_src``, if there is one.
+        A plan buffers a transfer only from a source of parity 0, and
+        ``SteadyTwin.of`` checks that."""
+        dst, src, _n, _moves, _mask, source, _flip, head, last_buffer_src, scratch = self._move
+        return dst, src, head, source, last_buffer_src, scratch
+
     def run(self, c: list[int], full: int) -> None:
         """Apply the stage's net effect in place."""
         dst, src, n, moves, mask, source, inject_flip, head, last_buffer_src, scratch = self._move
@@ -164,6 +190,52 @@ class CycleProgram:
         """The cycle's (p, q) op tuples in pulse order, for ``engine.execute``."""
         logic = (op for spec, operands in self.runs for x in operands for op in spec.ops(x))
         return (*logic, *(op for stage in self.stages for op in stage.ops))
+
+
+@dataclass(frozen=True, eq=False)
+class SteadyTwin:
+    """A steady cycle program in logical coordinates.
+
+    From the plans' fixed point on, every cycle starts and ends with each
+    register cell holding its logical value XOR a constant parity P
+    (``ShiftStage.parity``); ``parity`` lists the cells whose P is 1, and
+    ``toggle`` flips them.  With P toggled out, the logic runs unchanged,
+    since it touches no such cell, and each shift stage is a plain move
+    (``ShiftStage.logical``).  So ``toggle``, n ``run`` calls, then
+    ``toggle`` leave a row as n runs of the physical program do.
+    """
+
+    runs: tuple[tuple[GateSpec, tuple[tuple[CellId, ...], ...]], ...]
+    moves: tuple[tuple, ...]  # ShiftStage.logical of each stage
+    parity: tuple[CellId, ...]
+
+    @classmethod
+    def of(cls, prog: CycleProgram) -> SteadyTwin:
+        """The twin of a steady program.  Raises ``LayoutError`` if a cell
+        whose P is 1 is a logic operand, or a stage's source, scratch or
+        last buffer source: then the two coordinates would disagree."""
+        parity = frozenset(cell for stage in prog.stages for cell in stage.parity)
+        moves = tuple(stage.logical for stage in prog.stages)
+        touched = {cell for _spec, operands in prog.runs for x in operands for cell in x}
+        touched.update(cell for move in moves for cell in move[3:])  # source, last buffer source, scratch
+        if bad := sorted(touched & parity):
+            raise LayoutError(f"steady program touches register cells of parity 1: {bad[:8]}")
+        return cls(prog.runs, moves, tuple(sorted(parity)))
+
+    def toggle(self, cells: list[int], full: int) -> None:
+        """Convert ``cells`` between physical and logical coordinates."""
+        for cell in self.parity:
+            cells[cell] ^= full
+
+    def run(self, cells: list[int], full: int) -> None:
+        """Apply one cycle in place, in logical coordinates."""
+        for spec, operands in self.runs:
+            spec.kernel(cells, full, operands)
+        for dst, src, head, source, last_buffer_src, scratch in self.moves:
+            if last_buffer_src is not None:
+                cells[scratch] = cells[last_buffer_src] ^ full
+            cells[dst] = cells[src]
+            cells[head] = cells[source]
 
 
 class ProgramBuilder:
@@ -212,7 +284,9 @@ class ProgramCache:
     point, one per distinct (phase, plan rows); later cycles repeat the last
     one.  Each program is its phase's compiled logic, whose runs it shares
     by reference, plus that cycle's shift stages.  The stages are interned,
-    so the programs share one object per distinct stage.  Neither plans nor
+    so the programs share one object per distinct stage.  Each phase's
+    steady program also gets its ``SteadyTwin``, built here so that a
+    layout it cannot serve fails when the cache is built.  Neither plans nor
     build tables are kept.
     """
 
@@ -237,12 +311,21 @@ class ProgramCache:
         last_keystream = max(self.init_cycles + 1, self.steady_from)
         self._init = [program(False, t) for t in range(1, last_init + 1)]
         self._keystream = [program(True, t) for t in range(self.init_cycles + 1, last_keystream + 1)]
+        # each phase's steady program is its last; the init phase has none
+        # when its plans reach no fixed point before it ends
+        steady_init = self.steady_from <= self.init_cycles
+        self._twins = (SteadyTwin.of(self._init[-1]) if steady_init else None, SteadyTwin.of(self._keystream[-1]))
 
     def program(self, cycle: int) -> CycleProgram:
         """The program of ``cycle`` (1-based)."""
         if cycle <= self.init_cycles:
             return self._init[min(cycle, len(self._init)) - 1]
         return self._keystream[min(cycle - self.init_cycles, len(self._keystream)) - 1]
+
+    def twin(self, cycle: int) -> SteadyTwin | None:
+        """The logical twin of ``cycle``'s program from ``steady_from`` on,
+        else None."""
+        return self._twins[cycle > self.init_cycles] if cycle >= self.steady_from else None
 
 
 _cached = functools.cache(ProgramCache)  # keyed on (class, Mode)
@@ -382,24 +465,40 @@ class CipherSim:
         """Run the next ``n`` cycles, which must share one program; in the
         keystream phase append each cycle's output-cell mask to ``out``.
 
-        Without a trace each cycle runs the program's gate kernels; with
-        one, ``engine.execute`` interprets the expanded ops so that every
-        pulse reaches the trace with its step index.
+        Without a trace each cycle runs the program's gate kernels, and a
+        steady segment more than one lane wide runs the program's
+        ``SteadyTwin`` between two conversions of the row; with a trace,
+        ``engine.execute`` interprets the expanded ops so that every pulse
+        reaches the trace with its step index.  Either way the phase
+        accounts ``n`` runs of the physical program.
         """
         first = self.cycle + 1
         prog = self._programs.program(first)
         keystream = first > self.INIT_CYCLES
         cells, full, trace, out_cell = self.cells, self.full, self.trace, self.OUT
+        twin = None
         if trace is not None:
             ops = prog.ops
             base = self.init.steps + self.keystream_phase.steps
+        elif full != 1:
+            # Width 1 stays physical.  The twin speeds it up too, but the
+            # benchmark's sessions peak_rss_mb grows with the number of jobs
+            # a run completes, so that gain would read as a memory
+            # regression until the benchmark reports growth per job
+            # (ROADMAP.md item 1).
+            twin = self._programs.twin(first)
+        if twin is not None:
+            twin.toggle(cells, full)
+        run = (twin or prog).run
         for i in range(n):
             if trace is None:
-                prog.run(cells, full)
+                run(cells, full)
             else:
                 execute(cells, full, ops, trace, base + i * prog.steps)
             if keystream:
                 out.append(cells[out_cell])
+        if twin is not None:
+            twin.toggle(cells, full)
         (self.keystream_phase if keystream else self.init).add(prog, n)
         self.cycle += n
         return prog

@@ -17,7 +17,7 @@ from implysim import costs, programs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import ProgramBuilder, ProgramCache, ShiftStage, programs_for
+from implysim.programs import CipherSim, ProgramBuilder, ProgramCache, ShiftStage, programs_for
 from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
 from implysim.shifting import Element, Mode, plan
 from implysim.trivium_cim import TriviumSim
@@ -150,6 +150,55 @@ def test_program_runs_match_interpreted_ops(cipher, mode, width):
             assert execute(expected, full, prog.ops) == prog.steps
             prog.run(cells, full)
             assert cells == expected
+
+
+@pytest.mark.parametrize("width", [1, 64, 1024])
+@pytest.mark.parametrize("keystream", [False, True], ids=["init", "keystream"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_steady_segments_match_physical_runs_from_any_row(cipher, mode, keystream, width):
+    # wider than one lane, a steady segment runs the program's logical twin;
+    # from a random full row (work, scratch and output cells included) it
+    # must leave the row, the outputs and the accounts of n physical runs
+    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    rng = random.Random(f"twin-{cipher}-{mode.value}-{keystream}-{width}")
+    cache = programs_for(cls, mode)
+    start = cls.INIT_CYCLES if keystream else cache.steady_from - 1
+    prog = cache.program(start + 1)
+    assert cache.twin(start + 1) is not None and cache.twin(start + 1) is cache.twin(start + 2)
+    full = (1 << width) - 1
+    for n in (1, 2, 3, 17, 64):
+        sim = cls([0] * key_len, [0] * iv_len, mode, width)
+        sim.cycle = start
+        sim.cells = [rng.getrandbits(width) for _ in sim.cells]
+        expected, expected_out = list(sim.cells), []
+        for _ in range(n):
+            prog.run(expected, full)
+            if keystream:
+                expected_out.append(expected[cls.OUT])
+        out = []
+        assert sim._segment(n, out) is prog
+        assert sim.cells == expected, n
+        assert out == expected_out, n
+        assert (sim.keystream_phase if keystream else sim.init).runs == {prog: n}
+
+
+def test_twin_build_rejects_logic_on_a_register_cell_of_parity_one():
+    class Overwriter(CipherSim):
+        INIT_CYCLES = 8
+        REGISTERS = {"R": (0, 1, 2, 3)}  # position 1 first; the one tap is position 4
+
+        @staticmethod
+        def _logic(pb, keystream):
+            source = pb.gate(GateKind.INVERTER, (3,), (4,))
+            # position 3 is no tap, so a proposed plan leaves it complemented
+            pb.gate(GateKind.INVERTER, (3,), (2,))
+            return {"R": source}, 5
+
+    assert Overwriter.LAYOUTS["R"].taps == {4}
+    assert ProgramCache(Overwriter, Mode.CONVENTIONAL).twin(8).parity == ()
+    with pytest.raises(LayoutError, match=r"parity 1: \[2\]"):
+        ProgramCache(Overwriter, Mode.PROPOSED)
 
 
 def _row(kind, n, rng):

@@ -10,6 +10,12 @@ that leans on leftover work state fails.  After the cycle every register
 cell must hold the oracle round (``reference``) XOR ``P_{t+1}``, and in the
 keystream phase the output cell must hold the keystream bit.  The walk runs
 until the program and the parity repeat, which covers every later cycle.
+
+Each phase's steady program also has a logical twin, which wide segments
+run with every register cell holding its logical value.  Its parity cells
+must be the ones set by the walk's fixed point, and one run of it from
+register cell i = ``var(i)``, with no parity term, must give the oracle round
+exactly.
 """
 
 import pytest
@@ -148,3 +154,25 @@ def test_every_cycle_program_computes_the_cipher_round(cls, mode):
     # the last program and parity repeat from here on, so its proof covers
     # every later cycle
     assert programs.program(t + 1) is prog and parity == before
+
+
+@pytest.mark.parametrize("keystream", [False, True], ids=["init", "keystream"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", [TriviumSim, GrainSim], ids=lambda c: c.CIPHER)
+def test_steady_twin_computes_the_cipher_round_in_logical_coordinates(cls, mode, keystream):
+    programs = programs_for(cls, mode)
+    n_cells = cls.OUT + 1
+    register_cells = {cell for cells in cls.REGISTERS.values() for cell in cells}
+    twin = programs.twin(cls.INIT_CYCLES + 1 if keystream else programs.steady_from)
+    # the parity every steady cycle starts from, walked through the prefix
+    parity = [0] * n_cells
+    for t in range(1, programs.steady_from):
+        parity = _next_parity(parity, programs.program(t))
+    assert twin.parity == tuple(c for c in range(n_cells) if parity[c])
+    assert mode is Mode.PROPOSED or twin.parity == ()
+    cells = [var(c) if c in register_cells else var(n_cells + c) for c in range(n_cells)]
+    twin.run(cells, ONE)
+    expected, out = ROUNDS[cls](keystream)
+    wrong = [c for c, value in expected.items() if cells[c] != value]
+    assert not wrong, f"register cells {wrong[:8]} differ from the cipher round"
+    assert not keystream or cells[cls.OUT] == out, "the output cell is not the keystream bit"

@@ -105,13 +105,18 @@ def cmd_keystream(args) -> int:
     return 0
 
 
+CRYPT_CHUNK = 256  #: message bytes per keystream call: crypt's memory stays flat
+
+
 def cmd_crypt(args) -> int:
     data = Path(args.infile).read_bytes()
-    message = bytes_to_bits_msb_first(data)
     sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
     _check_output(args.out, args.report_out)
-    ks = sim.keystream(len(message))
-    out = bits_to_bytes_msb_first([m ^ k for m, k in zip(message, ks)])
+    sim.run_init()  # an empty message still runs and reports the init phase
+    out = bytearray()
+    for i in range(0, len(data), CRYPT_CHUNK):
+        message = bytes_to_bits_msb_first(data[i:i + CRYPT_CHUNK])
+        out += bits_to_bytes_msb_first([m ^ k for m, k in zip(message, sim.keystream(len(message)))])
     Path(args.out).write_bytes(out)
     if args.report:
         _emit_report(sim, args.report, args.report_out)

@@ -14,12 +14,13 @@ sequence does not depend on the key, IV or lane data, so one
 ``ProgramCache`` per cipher × mode, built by ``programs_for`` on first use,
 holds every program, and all sims of that cipher × mode share it.  After the
 plans' transitional prefix every cycle of a phase runs the same program, so
-``CipherSim`` runs those cycles as one segment and keeps one run count per
-program instead of accounting each cycle.  From then on every register cell
-holds its logical value XOR a constant parity P, so a segment more than one
-lane wide runs the program's ``SteadyTwin`` instead: P is XORed in once on
-entry and out once on exit, and in between each shift stage is a plain move
-with no inverter XOR.  Accounts still count the physical program.
+``CipherSim`` keeps one run count per program instead of accounting each
+cycle.  After t cycles every register cell holds its logical value XOR the
+plans' parity P_t, and every cell that a cycle's logic or shift sources use
+has parity 0.  So with P XORed out, every cycle of a phase, in either mode,
+is the phase's conventional program: each shift stage is a plain move.  A
+row more than one lane wide runs that way, with P XORed in once and out once
+per run of cycles.  Accounts still count the physical programs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Optional, Sequence
 
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
@@ -36,6 +38,7 @@ from .shifting import Mode, RegisterLayout, plan
 
 
 _INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
+_BITS = bytes.maketrans(b"\0\1", b"01")  # a plan row as the digits of a binary int
 
 
 class AccountingError(ValueError):
@@ -132,28 +135,6 @@ class ShiftStage:
                 ops += _BUFFER.ops((src, scratch, cells[m - 1]))
         return ops
 
-    @property
-    def parity(self) -> tuple[CellId, ...]:
-        """The cells whose parity is 1 once this row repeats every cycle:
-        position m's is ``flips[0] ^ ... ^ flips[m - 1]``."""
-        p, odd = 0, []
-        for cell, f in zip(self.cells, self.flips):
-            p ^= f
-            if p:
-                odd.append(cell)
-        return tuple(odd)
-
-    @property
-    def logical(self) -> tuple:
-        """The stage's net effect when every cell holds its logical value
-        (see ``SteadyTwin``): ``(dst, src, head, source, last_buffer_src,
-        scratch)``.  The register move and the injection carry no flip;
-        ``scratch`` still takes NOT ``last_buffer_src``, if there is one.
-        A plan buffers a transfer only from a source of parity 0, and
-        ``SteadyTwin.of`` checks that."""
-        dst, src, _n, _moves, _mask, source, _flip, head, last_buffer_src, scratch = self._move
-        return dst, src, head, source, last_buffer_src, scratch
-
     def run(self, c: list[int], full: int) -> None:
         """Apply the stage's net effect in place."""
         dst, src, n, moves, mask, source, inject_flip, head, last_buffer_src, scratch = self._move
@@ -165,7 +146,11 @@ class ShiftStage:
         elif full == 1:
             c[dst] = (int.from_bytes(bytearray(c[src]), "big") ^ mask).to_bytes(n, "big")
         else:
-            c[dst] = [x ^ full if f else x for x, f in zip(c[src], moves)]
+            # in place: a list of new ints would double the register's memory
+            c[dst] = c[src]
+            for cell, f in enumerate(moves, dst.start):
+                if f:
+                    c[cell] ^= full
         c[head] = injected
 
 
@@ -190,52 +175,6 @@ class CycleProgram:
         """The cycle's (p, q) op tuples in pulse order, for ``engine.execute``."""
         logic = (op for spec, operands in self.runs for x in operands for op in spec.ops(x))
         return (*logic, *(op for stage in self.stages for op in stage.ops))
-
-
-@dataclass(frozen=True, eq=False)
-class SteadyTwin:
-    """A steady cycle program in logical coordinates.
-
-    From the plans' fixed point on, every cycle starts and ends with each
-    register cell holding its logical value XOR a constant parity P
-    (``ShiftStage.parity``); ``parity`` lists the cells whose P is 1, and
-    ``toggle`` flips them.  With P toggled out, the logic runs unchanged,
-    since it touches no such cell, and each shift stage is a plain move
-    (``ShiftStage.logical``).  So ``toggle``, n ``run`` calls, then
-    ``toggle`` leave a row as n runs of the physical program do.
-    """
-
-    runs: tuple[tuple[GateSpec, tuple[tuple[CellId, ...], ...]], ...]
-    moves: tuple[tuple, ...]  # ShiftStage.logical of each stage
-    parity: tuple[CellId, ...]
-
-    @classmethod
-    def of(cls, prog: CycleProgram) -> SteadyTwin:
-        """The twin of a steady program.  Raises ``LayoutError`` if a cell
-        whose P is 1 is a logic operand, or a stage's source, scratch or
-        last buffer source: then the two coordinates would disagree."""
-        parity = frozenset(cell for stage in prog.stages for cell in stage.parity)
-        moves = tuple(stage.logical for stage in prog.stages)
-        touched = {cell for _spec, operands in prog.runs for x in operands for cell in x}
-        touched.update(cell for move in moves for cell in move[3:])  # source, last buffer source, scratch
-        if bad := sorted(touched & parity):
-            raise LayoutError(f"steady program touches register cells of parity 1: {bad[:8]}")
-        return cls(prog.runs, moves, tuple(sorted(parity)))
-
-    def toggle(self, cells: list[int], full: int) -> None:
-        """Convert ``cells`` between physical and logical coordinates."""
-        for cell in self.parity:
-            cells[cell] ^= full
-
-    def run(self, cells: list[int], full: int) -> None:
-        """Apply one cycle in place, in logical coordinates."""
-        for spec, operands in self.runs:
-            spec.kernel(cells, full, operands)
-        for dst, src, head, source, last_buffer_src, scratch in self.moves:
-            if last_buffer_src is not None:
-                cells[scratch] = cells[last_buffer_src] ^ full
-            cells[dst] = cells[src]
-            cells[head] = cells[source]
 
 
 class ProgramBuilder:
@@ -284,10 +223,11 @@ class ProgramCache:
     point, one per distinct (phase, plan rows); later cycles repeat the last
     one.  Each program is its phase's compiled logic, whose runs it shares
     by reference, plus that cycle's shift stages.  The stages are interned,
-    so the programs share one object per distinct stage.  Each phase's
-    steady program also gets its ``SteadyTwin``, built here so that a
-    layout it cannot serve fails when the cache is built.  Neither plans nor
-    build tables are kept.
+    so the programs share one object per distinct stage.  The cache also
+    keeps the plans' parity P_t (``parity``) and each phase's ``logical``
+    program: the conventional mode's program, one object for both modes.
+    A layout that cannot run in logical coordinates fails when the cache is
+    built.  Neither plans nor build tables are kept.
     """
 
     def __init__(self, cls: type[CipherSim], mode: Mode):
@@ -311,10 +251,45 @@ class ProgramCache:
         last_keystream = max(self.init_cycles + 1, self.steady_from)
         self._init = [program(False, t) for t in range(1, last_init + 1)]
         self._keystream = [program(True, t) for t in range(self.init_cycles + 1, last_keystream + 1)]
-        # each phase's steady program is its last; the init phase has none
-        # when its plans reach no fixed point before it ends
-        steady_init = self.steady_from <= self.init_cycles
-        self._twins = (SteadyTwin.of(self._init[-1]) if steady_init else None, SteadyTwin.of(self._keystream[-1]))
+        # P_t for t < steady_from, one mask per cycle: each register's parity
+        # walks as in ``plan``, in its cells' order along the row
+        spans = [(p, min(cells), ((1 << len(cells)) - 1) << min(cells), cells[0] > cells[-1])
+                 for p, cells in zip(plans, cls.REGISTERS.values())]
+        self._parity = [0]
+        for t in range(1, self.steady_from):
+            held, now = self._parity[-1], 0
+            for p, lo, span, down in spans:
+                row = p.elements(t)
+                moved = (held & span) >> 1 if down else (held & span) << 1
+                now |= moved & span ^ int((row if down else row[::-1]).translate(_BITS), 2) << lo
+            self._parity.append(now)
+        conventional = self if mode is Mode.CONVENTIONAL else programs_for(cls, Mode.CONVENTIONAL)
+        #: each phase's program in logical coordinates
+        self.logical = (conventional.program(1), conventional.program(self.init_cycles + 1))
+        self._check(cls)
+
+    def _check(self, cls: type[CipherSim]) -> None:
+        """Raise ``LayoutError`` where running in logical coordinates would
+        differ from the physical programs: if a cycle's logic operands or
+        stage sources include a cell of parity 1, or if any parity is 1 and
+        a cycle may read the scratch cell before writing it, since
+        ``CipherSim._run`` leaves the scratch to its physical last cycle."""
+        for keystream, (logic, sources, scratch) in enumerate(cls._LOGIC):
+            used = {cell for _spec, operands in logic.runs for x in operands for cell in x}
+            used = sum(1 << cell for cell in used | set(sources.values()))
+            progs, first = (self._keystream, self.init_cycles + 1) if keystream else (self._init, 1)
+            for t in range(first, first + len(progs)):
+                if odd := self.parity(t - 1) & used:
+                    cells = [cell for cell in range(odd.bit_length()) if odd >> cell & 1]
+                    raise LayoutError(f"cycle {t} touches register cells of parity 1: {cells[:8]}")
+            # the scratch is written first if the logic's first pulse on it
+            # is a FALSE or, with none, if every cycle has a buffer
+            pulse = next((p for spec, xs in logic.runs for x in xs if scratch in x
+                          for p, q in spec.ops(x) if scratch in (p, q)), None)
+            written = pulse < 0 if pulse is not None else all(
+                any(0 in stage.flips for stage in prog.stages) for prog in progs)
+            if any(self._parity) and not written:
+                raise LayoutError(f"a cycle may read scratch cell {scratch} before writing it")
 
     def program(self, cycle: int) -> CycleProgram:
         """The program of ``cycle`` (1-based)."""
@@ -322,10 +297,29 @@ class ProgramCache:
             return self._init[min(cycle, len(self._init)) - 1]
         return self._keystream[min(cycle - self.init_cycles, len(self._keystream)) - 1]
 
-    def twin(self, cycle: int) -> SteadyTwin | None:
-        """The logical twin of ``cycle``'s program from ``steady_from`` on,
-        else None."""
-        return self._twins[cycle > self.init_cycles] if cycle >= self.steady_from else None
+    def parity(self, t: int) -> int:
+        """P_t, the parity after ``t`` cycles: bit c is set where register
+        cell c holds its logical value complemented.  P_0 is 0."""
+        return self._parity[min(t, len(self._parity) - 1)]
+
+    def toggle(self, cells: list[int], full: int, t: int) -> None:
+        """XOR P_t into ``cells``: from physical to logical coordinates
+        after ``t`` cycles, and back."""
+        mask = self.parity(t)
+        while mask:
+            low = mask & -mask
+            cells[low.bit_length() - 1] ^= full
+            mask ^= low
+
+    def segments(self, first: int, last: int):
+        """``(program, run count)`` pairs for cycles ``first..last`` of one
+        phase, in order: each cycle before ``steady_from`` alone, then the
+        rest as one run of the steady program."""
+        split = min(max(first, self.steady_from), last + 1)
+        for t in range(first, split):
+            yield self.program(t), 1
+        if split <= last:
+            yield self.program(split), last + 1 - split
 
 
 _cached = functools.cache(ProgramCache)  # keyed on (class, Mode)
@@ -461,68 +455,63 @@ class CipherSim:
         self.init = Phase()
         self.keystream_phase = Phase()
 
-    def _segment(self, n: int, out: list[int]) -> CycleProgram:
-        """Run the next ``n`` cycles, which must share one program; in the
-        keystream phase append each cycle's output-cell mask to ``out``.
+    def _run(self, n: int, out: list[int]) -> None:
+        """Run the next ``n`` cycles, all in one phase; in the keystream
+        phase append each cycle's output-cell mask to ``out``.
 
-        Without a trace each cycle runs the program's gate kernels, and a
-        steady segment more than one lane wide runs the program's
-        ``SteadyTwin`` between two conversions of the row; with a trace,
-        ``engine.execute`` interprets the expanded ops so that every pulse
-        reaches the trace with its step index.  Either way the phase
-        accounts ``n`` runs of the physical program.
+        A row more than one lane wide, without a trace, XORs in P_{first-1},
+        runs the phase's logical program ``n - 1`` times, XORs out
+        P_{last-1} and runs the last cycle's physical program, which also
+        writes the scratch cell.  Otherwise each cycle runs its physical
+        program, through ``engine.execute`` with a trace so that every pulse
+        reaches it with its step index.  Either way the phase accounts the
+        physical programs (``ProgramCache.segments``).
         """
-        first = self.cycle + 1
-        prog = self._programs.program(first)
+        first, last = self.cycle + 1, self.cycle + n
         keystream = first > self.INIT_CYCLES
-        cells, full, trace, out_cell = self.cells, self.full, self.trace, self.OUT
-        twin = None
-        if trace is not None:
-            ops = prog.ops
-            base = self.init.steps + self.keystream_phase.steps
-        elif full != 1:
-            # Width 1 stays physical.  The twin speeds it up too, but the
-            # benchmark's sessions peak_rss_mb grows with the number of jobs
-            # a run completes, so that gain would read as a memory
-            # regression until the benchmark reports growth per job
-            # (ROADMAP.md item 1).
-            twin = self._programs.twin(first)
-        if twin is not None:
-            twin.toggle(cells, full)
-        run = (twin or prog).run
-        for i in range(n):
-            if trace is None:
+        cache, cells, full, trace, out_cell = self._programs, self.cells, self.full, self.trace, self.OUT
+        phase = self.keystream_phase if keystream else self.init
+
+        def repeat(run, k: int) -> None:
+            for _ in range(k):
                 run(cells, full)
-            else:
-                execute(cells, full, ops, trace, base + i * prog.steps)
-            if keystream:
-                out.append(cells[out_cell])
-        if twin is not None:
-            twin.toggle(cells, full)
-        (self.keystream_phase if keystream else self.init).add(prog, n)
-        self.cycle += n
-        return prog
+                if keystream:
+                    out.append(cells[out_cell])
+
+        # Width 1 stays physical.  The logical path speeds it up too, but the
+        # benchmark's sessions peak_rss_mb grows with the number of jobs a
+        # run completes, so that gain would read as a memory regression until
+        # the benchmark reports growth per job (ROADMAP.md item 1).
+        logical = trace is None and full != 1 and n > 1
+        if logical:
+            cache.toggle(cells, full, first - 1)
+            repeat(cache.logical[keystream].run, n - 1)
+            cache.toggle(cells, full, last - 1)
+            repeat(cache.program(last).run, 1)
+        for prog, k in cache.segments(first, last):
+            if trace is not None:
+                ops, steps = prog.ops, count(self.init.steps + self.keystream_phase.steps, prog.steps)
+                repeat(lambda c, f: execute(c, f, ops, trace, next(steps)), k)
+            elif not logical:
+                repeat(prog.run, k)
+            phase.add(prog, k)
+        self.cycle = last
 
     def _advance(self, until: int) -> list[int]:
-        """Run through cycle ``until``; returns the keystream-phase outputs.
-
-        Each transitional cycle runs alone; from ``steady_from`` on, the
-        rest of a phase runs as one segment of its steady program.
-        """
+        """Run through cycle ``until``, one ``_run`` per phase; returns the
+        keystream-phase outputs."""
         out: list[int] = []
         while self.cycle < until:
-            n = 1
-            if self.cycle + 1 >= self._programs.steady_from:
-                end = until if self.cycle >= self.INIT_CYCLES else min(until, self.INIT_CYCLES)
-                n = end - self.cycle
-            self._segment(n, out)
+            end = until if self.cycle >= self.INIT_CYCLES else min(until, self.INIT_CYCLES)
+            self._run(end - self.cycle, out)
         return out
 
     def step_cycle(self) -> tuple[PhaseCost, Optional[int]]:
         """Run one full cycle; returns its cost and, in the keystream
         phase, the output-cell mask."""
         out: list[int] = []
-        prog = self._segment(1, out)
+        self._run(1, out)
+        prog = self._programs.program(self.cycle)
         return PhaseCost(1, prog.steps, dict(prog.census)), (out[0] if out else None)
 
     def run_init(self) -> None:

@@ -4,13 +4,17 @@ import random
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from implysim import costs, stego
-from implysim.cli import build_parser, main
+from implysim.cli import CRYPT_CHUNK, _key_iv_bits, build_parser, main
 from implysim.programs import CipherSim
+from implysim.reference import (
+    bits_to_bytes_msb_first, bytes_to_bits_msb_first, grain128a_ref, trivium_ref, xorcrypt,
+)
 from implysim.shifting import Mode
 
 KEY_T = "80000000000000000000"
@@ -146,6 +150,49 @@ def test_crypt_wrong_key_does_not_decrypt(tmp_path, rng):
     main(base + ["--key", "00112233445566778899", "--in", str(plain), "--out", str(enc)])
     main(base + ["--key", "99887766554433221100", "--in", str(enc), "--out", str(dec)])
     assert dec.read_bytes() != data
+
+
+@pytest.mark.parametrize("cipher,size", [
+    *(("trivium", size) for size in (0, 1, CRYPT_CHUNK - 1, CRYPT_CHUNK, CRYPT_CHUNK + 1, 1972)),
+    ("grain128a", 0), ("grain128a", CRYPT_CHUNK + 1),
+])
+def test_crypt_in_chunks_matches_the_oracle_and_a_one_shot_report(tmp_path, cipher, size):
+    # crypt runs the keystream one chunk at a time; the ciphertext must be
+    # the oracle keystream's XOR and the report that of one keystream call
+    key, iv = (KEY_T, IV_T) if cipher == "trivium" else ("0123456789abcdef0123456789abcdef", IV_G)
+    data = random.Random(size).randbytes(size)
+    src, dst, report = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.json"
+    src.write_bytes(data)
+    assert main(["crypt", "--cipher", cipher, "--key", key, "--iv", iv, "--in", str(src), "--out", str(dst),
+                 "--report", "json", "--report-out", str(report)]) == 0
+    key_bits, iv_bits = _key_iv_bits(cipher, key, iv)
+    message = bytes_to_bits_msb_first(data)
+    ref = trivium_ref if cipher == "trivium" else grain128a_ref
+    assert dst.read_bytes() == bits_to_bytes_msb_first(xorcrypt(message, ref(key_bits, iv_bits, len(message))))
+    sim = costs.SIMS[cipher](key_bits, iv_bits)
+    sim.keystream(len(message))
+    assert report.read_text() == costs.aggregate(sim).to_json() + "\n"
+
+
+def test_crypt_memory_does_not_grow_with_the_message(tmp_path):
+    def peak(size):
+        src = tmp_path / f"{size}.bin"
+        src.write_bytes(bytes(size))
+        argv = ["crypt", "--cipher", "trivium", "--mode", "conventional", "--key", KEY_T, "--iv", IV_T,
+                "--in", str(src), "--out", str(tmp_path / "out.bin")]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(1)  # builds the program caches and the parser
+        growth = peak(4096) - peak(1024)
+    finally:
+        tracemalloc.stop()
+    # the whole-message bit lists took ~208 B per message byte (~624 KiB here)
+    assert growth < 64 * 1024, growth
 
 
 def _write_cover(path, seed=0, width=256, height=256):

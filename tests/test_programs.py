@@ -1,7 +1,8 @@
-"""The shared program cache and the segment runner.
+"""The shared program cache and the cycle runner.
 
-``keystream`` runs the steady cycles of a phase as one segment of a cached
-program and accounts per program; ``step_cycle`` runs one cycle at a time.
+``keystream`` runs each phase's cycles as one run, in logical coordinates
+when the row is wider than one lane, and accounts per program;
+``step_cycle`` runs one cycle at a time.
 Both must leave the same array state and the same cost report, and sims of
 one cipher × mode share programs without sharing any key-dependent state.
 """
@@ -153,52 +154,87 @@ def test_program_runs_match_interpreted_ops(cipher, mode, width):
 
 
 @pytest.mark.parametrize("width", [1, 64, 1024])
-@pytest.mark.parametrize("keystream", [False, True], ids=["init", "keystream"])
+@pytest.mark.parametrize("starts", ["prefix", "boundary"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_steady_segments_match_physical_runs_from_any_row(cipher, mode, keystream, width):
-    # wider than one lane, a steady segment runs the program's logical twin;
-    # from a random full row (work, scratch and output cells included) it
-    # must leave the row, the outputs and the accounts of n physical runs
+def test_runs_match_physical_programs_from_any_row(cipher, mode, starts, width):
+    # wider than one lane, a run of cycles goes through the phase's logical
+    # program; from a random full row (work, scratch and output cells
+    # included), starting at every cycle of the plans' prefix and just past
+    # it, or around the init/keystream boundary, it must leave the row, the
+    # outputs and the accounts of n runs of each cycle's physical program
     cls, key_len, iv_len, _ref = CIPHERS[cipher]
-    rng = random.Random(f"twin-{cipher}-{mode.value}-{keystream}-{width}")
+    rng = random.Random(f"run-{cipher}-{mode.value}-{starts}-{width}")
     cache = programs_for(cls, mode)
-    start = cls.INIT_CYCLES if keystream else cache.steady_from - 1
-    prog = cache.program(start + 1)
-    assert cache.twin(start + 1) is not None and cache.twin(start + 1) is cache.twin(start + 2)
     full = (1 << width) - 1
-    for n in (1, 2, 3, 17, 64):
-        sim = cls([0] * key_len, [0] * iv_len, mode, width)
-        sim.cycle = start
-        sim.cells = [rng.getrandbits(width) for _ in sim.cells]
-        expected, expected_out = list(sim.cells), []
-        for _ in range(n):
-            prog.run(expected, full)
-            if keystream:
-                expected_out.append(expected[cls.OUT])
-        out = []
-        assert sim._segment(n, out) is prog
-        assert sim.cells == expected, n
-        assert out == expected_out, n
-        assert (sim.keystream_phase if keystream else sim.init).runs == {prog: n}
+    init = cls.INIT_CYCLES
+    for start in range(cache.steady_from + 2) if starts == "prefix" else range(init - 3, init + 2):
+        keystream = start >= init
+        for n in sorted({n if keystream else min(n, init - start) for n in (1, 2, 3, 17, 70)}):
+            sim = cls([0] * key_len, [0] * iv_len, mode, width)
+            sim.cycle = start
+            sim.cells = [rng.getrandbits(width) for _ in sim.cells]
+            expected, expected_out, runs = list(sim.cells), [], {}
+            for t in range(start + 1, start + n + 1):
+                prog = cache.program(t)
+                prog.run(expected, full)
+                runs[prog] = runs.get(prog, 0) + 1
+                if keystream:
+                    expected_out.append(expected[cls.OUT])
+            out = []
+            sim._run(n, out)
+            assert sim.cells == expected, (start, n)
+            assert out == expected_out, (start, n)
+            assert (sim.keystream_phase if keystream else sim.init).runs == runs, (start, n)
+            assert sim.cycle == start + n
 
 
-def test_twin_build_rejects_logic_on_a_register_cell_of_parity_one():
-    class Overwriter(CipherSim):
+def _four_cell_sim(logic):
+    """A sim class with one 4-cell register (position 1 first, its one tap
+    position 4), eight init cycles and the given ``_logic``."""
+
+    class Sim(CipherSim):
         INIT_CYCLES = 8
-        REGISTERS = {"R": (0, 1, 2, 3)}  # position 1 first; the one tap is position 4
+        REGISTERS = {"R": (0, 1, 2, 3)}
+        OUT = 7
+        _logic = staticmethod(logic)
 
-        @staticmethod
-        def _logic(pb, keystream):
-            source = pb.gate(GateKind.INVERTER, (3,), (4,))
-            # position 3 is no tap, so a proposed plan leaves it complemented
-            pb.gate(GateKind.INVERTER, (3,), (2,))
-            return {"R": source}, 5
+    return Sim
 
+
+def test_cache_build_rejects_logic_on_a_register_cell_of_parity_one():
+    def logic(pb, keystream):
+        source = pb.gate(GateKind.INVERTER, (3,), (4,))
+        # position 3 is no tap, so a proposed plan leaves it complemented
+        pb.gate(GateKind.INVERTER, (3,), (2,))
+        return {"R": source}, 5
+
+    Overwriter = _four_cell_sim(logic)
     assert Overwriter.LAYOUTS["R"].taps == {4}
-    assert ProgramCache(Overwriter, Mode.CONVENTIONAL).twin(8).parity == ()
+    conventional = ProgramCache(Overwriter, Mode.CONVENTIONAL)
+    assert all(conventional.parity(t) == 0 for t in range(Overwriter.INIT_CYCLES + 2))
     with pytest.raises(LayoutError, match=r"parity 1: \[2\]"):
         ProgramCache(Overwriter, Mode.PROPOSED)
+
+
+@pytest.mark.parametrize("case", ["logic-reads-it", "cycle-without-a-buffer"])
+def test_cache_build_rejects_a_scratch_cell_read_before_it_is_written(case):
+    # a logical run leaves the scratch cell to its physical last cycle, so
+    # that cycle must write it before anything reads what the logical cycles
+    # left there: here the logic reads it first, or the logic leaves it alone
+    # and the proposed plan's cycle 2 has no buffer, since position 1's
+    # parity is 1 after cycle 1 and position 2, the one tap, then takes an
+    # inverter like every other position
+    def logic(pb, keystream):
+        if case == "logic-reads-it":
+            pb.gate(GateKind.INVERTER, (5,), (6,))
+        return {"R": pb.gate(GateKind.INVERTER, (3 if case == "logic-reads-it" else 1,), (4,))}, 5
+
+    Sim = _four_cell_sim(logic)
+    assert Sim.LAYOUTS["R"].taps == ({4} if case == "logic-reads-it" else {2})
+    ProgramCache(Sim, Mode.CONVENTIONAL)  # every parity is 0
+    with pytest.raises(LayoutError, match="may read scratch cell 5 before writing it"):
+        ProgramCache(Sim, Mode.PROPOSED)
 
 
 def _row(kind, n, rng):

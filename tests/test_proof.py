@@ -7,15 +7,15 @@ ONE)``, over polynomials in algebraic normal form.  Register cell i starts
 as its logical value ``var(i)`` XOR ``P_t[i]``, the plan's static parity
 before cycle t; work and output cells start as fresh variables, so a result
 that leans on leftover work state fails.  After the cycle every register
-cell must hold the oracle round (``reference``) XOR ``P_{t+1}``, and in the
-keystream phase the output cell must hold the keystream bit.  The walk runs
+cell must hold the oracle round (``reference``) XOR ``P_{t+1}``, in the
+keystream phase the output cell must hold the keystream bit, and the scratch
+cell must hold NOT the value of the last buffer emitted.  The walk runs
 until the program and the parity repeat, which covers every later cycle.
 
-Each phase's steady program also has a logical twin, which wide segments
-run with every register cell holding its logical value.  Its parity cells
-must be the ones set by the walk's fixed point, and one run of it from
-register cell i = ``var(i)``, with no parity term, must give the oracle round
-exactly.
+A row more than one lane wide runs in logical coordinates, where every cycle
+of a phase is the phase's conventional program, proven above with every
+parity 0.  So each cache's ``logical`` programs must be those very objects,
+and its parities ``P_t`` must be the ones this walk reaches.
 """
 
 import pytest
@@ -150,29 +150,26 @@ def test_every_cycle_program_computes_the_cipher_round(cls, mode):
             wrong = [c for c, value in expected.items() if cells[c] != value ^ after[c]]
             assert not wrong, f"cycle {t}: register cells {wrong[:8]} differ from the cipher round"
             assert not keystream or cells[cls.OUT] == out, f"cycle {t}: the output cell is not the keystream bit"
+            # the scratch keeps NOT the value of the last buffer emitted: the
+            # last buffered stage's lowest buffered position, after the shift
+            stage = [stage for stage in prog.stages if 0 in stage.flips][-1]
+            carried = stage.cells[stage.flips.find(0)]
+            assert cells[stage.scratch] == expected[carried] ^ after[carried] ^ ONE, f"cycle {t}: the scratch cell"
         parity, before = after, parity
     # the last program and parity repeat from here on, so its proof covers
     # every later cycle
     assert programs.program(t + 1) is prog and parity == before
 
 
-@pytest.mark.parametrize("keystream", [False, True], ids=["init", "keystream"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 @pytest.mark.parametrize("cls", [TriviumSim, GrainSim], ids=lambda c: c.CIPHER)
-def test_steady_twin_computes_the_cipher_round_in_logical_coordinates(cls, mode, keystream):
-    programs = programs_for(cls, mode)
-    n_cells = cls.OUT + 1
-    register_cells = {cell for cells in cls.REGISTERS.values() for cell in cells}
-    twin = programs.twin(cls.INIT_CYCLES + 1 if keystream else programs.steady_from)
-    # the parity every steady cycle starts from, walked through the prefix
-    parity = [0] * n_cells
-    for t in range(1, programs.steady_from):
-        parity = _next_parity(parity, programs.program(t))
-    assert twin.parity == tuple(c for c in range(n_cells) if parity[c])
-    assert mode is Mode.PROPOSED or twin.parity == ()
-    cells = [var(c) if c in register_cells else var(n_cells + c) for c in range(n_cells)]
-    twin.run(cells, ONE)
-    expected, out = ROUNDS[cls](keystream)
-    wrong = [c for c, value in expected.items() if cells[c] != value]
-    assert not wrong, f"register cells {wrong[:8]} differ from the cipher round"
-    assert not keystream or cells[cls.OUT] == out, "the output cell is not the keystream bit"
+def test_logical_programs_are_the_conventional_ones_and_parity_follows_the_stages(cls, mode):
+    programs, conventional = programs_for(cls, mode), programs_for(cls, Mode.CONVENTIONAL)
+    # the conventional programs are proven above; both modes share them
+    assert programs.logical[0] is conventional.program(1)
+    assert programs.logical[1] is conventional.program(cls.INIT_CYCLES + 1)
+    parity = [0] * (cls.OUT + 1)
+    for t in range(programs.steady_from + 2):
+        assert programs.parity(t) == sum(bit << c for c, bit in enumerate(parity)), f"P_{t}"
+        parity = _next_parity(parity, programs.program(t + 1))
+    assert mode is Mode.PROPOSED or programs.parity(programs.steady_from) == 0

@@ -77,7 +77,7 @@ class CostReport:
 
 def aggregate(sim) -> CostReport:
     """Cost report for a finished (or partially run) cipher simulation."""
-    init, keystream = sim.init.stats, sim.keystream_phase.stats
+    init, keystream = sim.init, sim.keystream_phase
     init.validate()
     keystream.validate()
     return CostReport(sim.CIPHER, sim.mode, init, keystream, dict(sim.MEMRISTORS))
@@ -131,20 +131,18 @@ def simulated_form(cipher: str, mode: Mode, n: int) -> tuple[int, float]:
 
 @functools.cache
 def _simulated(cipher: str, mode: Mode) -> ClosedForm:
-    """Slope: the steady keystream program.  Intercept: the programs of every
-    cycle through its first run, summed cycle by cycle, less n * slope."""
+    """Slope: the steady keystream program.  Intercept: the cost of every
+    cycle through its first run, less n * slope."""
     try:
         cls = SIMS[cipher]
     except KeyError:
         raise AccountingError(f"no simulated form for {cipher}/{mode.value}") from None
     programs = programs_for(cls, mode)
     steady_at = max(cls.INIT_CYCLES + 1, programs.steady_from)
-    steps = energy = 0
-    for prog in map(programs.program, range(1, steady_at + 1)):
-        slope = PhaseCost(1, prog.steps, dict(prog.census))  # the steady program after the last cycle
-        steps, energy = steps + slope.steps, energy + slope.energy_e4
-    n = steady_at - cls.INIT_CYCLES  # keystream cycles summed, the steady one last
-    return ClosedForm(slope.steps, steps - n * slope.steps, slope.energy_e4, energy - n * slope.energy_e4)
+    total, slope = programs.cost(1, steady_at), programs.cost(steady_at, steady_at)
+    n = steady_at - cls.INIT_CYCLES  # keystream cycles in the total, the steady one last
+    return ClosedForm(slope.steps, total.steps - n * slope.steps,
+                      slope.energy_e4, total.energy_e4 - n * slope.energy_e4)
 
 
 def compare(report: CostReport, n: Optional[int] = None) -> dict:

@@ -14,13 +14,14 @@ sequence does not depend on the key, IV or lane data, so one
 ``ProgramCache`` per cipher × mode, built by ``programs_for`` on first use,
 holds every program, and all sims of that cipher × mode share it.  After the
 plans' transitional prefix every cycle of a phase runs the same program, so
-``CipherSim`` keeps one run count per program instead of accounting each
-cycle.  After t cycles every register cell holds its logical value XOR the
-plans' parity P_t, and every cell that a cycle's logic or shift sources use
-has parity 0.  So with P XORed out, every cycle of a phase, in either mode,
-is the phase's conventional program: each shift stage is a plain move.  A
-row more than one lane wide runs that way, with P XORed in once and out once
-per run of cycles.  Accounts still count the physical programs.
+the cost of any run of cycles is a few programs' censuses times their run
+counts (``ProgramCache.cost``), and a sim's accounts follow from its cycle
+count alone.  After t cycles every register cell holds its logical value XOR
+the plans' parity P_t, and every cell that a cycle's logic or shift sources
+use has parity 0.  So with P XORed out, every cycle of a phase, in either
+mode, is the phase's conventional program: each shift stage is a plain move.
+A row more than one lane wide runs that way, with P XORed in once and out
+once per run of cycles.  Accounts still count the physical programs.
 """
 
 from __future__ import annotations
@@ -293,6 +294,7 @@ class ProgramCache:
 
     def program(self, cycle: int) -> CycleProgram:
         """The program of ``cycle`` (1-based)."""
+        _check_index(cycle, 1)
         if cycle <= self.init_cycles:
             return self._init[min(cycle, len(self._init)) - 1]
         return self._keystream[min(cycle - self.init_cycles, len(self._keystream)) - 1]
@@ -300,6 +302,7 @@ class ProgramCache:
     def parity(self, t: int) -> int:
         """P_t, the parity after ``t`` cycles: bit c is set where register
         cell c holds its logical value complemented.  P_0 is 0."""
+        _check_index(t, 0)
         return self._parity[min(t, len(self._parity) - 1)]
 
     def toggle(self, cells: list[int], full: int, t: int) -> None:
@@ -312,14 +315,35 @@ class ProgramCache:
             mask ^= low
 
     def segments(self, first: int, last: int):
-        """``(program, run count)`` pairs for cycles ``first..last`` of one
-        phase, in order: each cycle before ``steady_from`` alone, then the
-        rest as one run of the steady program."""
+        """``(program, run count)`` pairs for cycles ``first..last``, in
+        order: each cycle before ``steady_from`` alone, then the rest of each
+        phase as one run of its steady program."""
+        _check_index(first, 1)
         split = min(max(first, self.steady_from), last + 1)
         for t in range(first, split):
             yield self.program(t), 1
-        if split <= last:
-            yield self.program(split), last + 1 - split
+        for lo, hi in ((split, min(last, self.init_cycles)), (max(split, self.init_cycles + 1), last)):
+            if lo <= hi:
+                yield self.program(lo), hi + 1 - lo
+
+    def cost(self, first: int, last: int) -> PhaseCost:
+        """Cycles, steps and gate census of cycles ``first..last`` (none if
+        ``last < first``): each program's census times its run count, so
+        the totals are exact integers."""
+        runs: dict[CycleProgram, int] = {}
+        for prog, n in self.segments(first, last):
+            runs[prog] = runs.get(prog, 0) + n
+        census: dict = {}
+        for prog, n in runs.items():
+            for key, c in prog.census:
+                census[key] = census.get(key, 0) + c * n
+        return PhaseCost(sum(runs.values()), sum(prog.steps * n for prog, n in runs.items()), census)
+
+
+def _check_index(t: int, low: int) -> None:
+    """Raise ``ValueError`` for a cycle before 1 or a parity before P_0."""
+    if t < low:
+        raise ValueError(f"index {t} < {low}: cycles count from 1, parities from P_0")
 
 
 _cached = functools.cache(ProgramCache)  # keyed on (class, Mode)
@@ -329,36 +353,6 @@ def programs_for(cls: type[CipherSim], mode: Mode) -> ProgramCache:
     """The one program cache of ``cls`` × ``mode`` (a ``Mode`` or its value;
     anything else raises ``ValueError``), built on first use."""
     return _cached(cls, Mode(mode))
-
-
-class Phase:
-    """How many times each cycle program ran in one phase.
-
-    Step and gate totals are each program's run count times its census,
-    summed when read, so they stay exact integers.
-    """
-
-    def __init__(self):
-        self.runs: dict[CycleProgram, int] = {}
-
-    def add(self, prog: CycleProgram, n: int) -> None:
-        self.runs[prog] = self.runs.get(prog, 0) + n
-
-    @property
-    def cycles(self) -> int:
-        return sum(self.runs.values())
-
-    @property
-    def steps(self) -> int:
-        return sum(prog.steps * n for prog, n in self.runs.items())
-
-    @property
-    def stats(self) -> PhaseCost:
-        counts: dict = {}
-        for prog, n in self.runs.items():
-            for key, c in prog.census:
-                counts[key] = counts.get(key, 0) + c * n
-        return PhaseCost(self.cycles, self.steps, counts)
 
 
 class CipherSim:
@@ -452,8 +446,16 @@ class CipherSim:
         self.cycle = 0  # completed cycles, 1-based during execution
         self.trace = trace
         self._programs = programs_for(type(self), self.mode)
-        self.init = Phase()
-        self.keystream_phase = Phase()
+
+    @property
+    def init(self) -> PhaseCost:
+        """The cost of the init-phase cycles run so far."""
+        return self._programs.cost(1, min(self.cycle, self.INIT_CYCLES))
+
+    @property
+    def keystream_phase(self) -> PhaseCost:
+        """The cost of the keystream-phase cycles run so far."""
+        return self._programs.cost(self.INIT_CYCLES + 1, self.cycle)
 
     def _run(self, n: int, out: list[int]) -> None:
         """Run the next ``n`` cycles, all in one phase; in the keystream
@@ -464,13 +466,12 @@ class CipherSim:
         P_{last-1} and runs the last cycle's physical program, which also
         writes the scratch cell.  Otherwise each cycle runs its physical
         program, through ``engine.execute`` with a trace so that every pulse
-        reaches it with its step index.  Either way the phase accounts the
-        physical programs (``ProgramCache.segments``).
+        reaches it with its step index, counted from the steps of the cycles
+        before ``first``.
         """
         first, last = self.cycle + 1, self.cycle + n
         keystream = first > self.INIT_CYCLES
         cache, cells, full, trace, out_cell = self._programs, self.cells, self.full, self.trace, self.OUT
-        phase = self.keystream_phase if keystream else self.init
 
         def repeat(run, k: int) -> None:
             for _ in range(k):
@@ -478,23 +479,24 @@ class CipherSim:
                 if keystream:
                     out.append(cells[out_cell])
 
+        if trace is not None:
+            step = cache.cost(1, first - 1).steps
+            for prog, k in cache.segments(first, last):
+                ops, steps = prog.ops, count(step, prog.steps)
+                repeat(lambda c, f: execute(c, f, ops, trace, next(steps)), k)
+                step += k * prog.steps
         # Width 1 stays physical.  The logical path speeds it up too, but the
         # benchmark's sessions peak_rss_mb grows with the number of jobs a
         # run completes, so that gain would read as a memory regression until
         # the benchmark reports growth per job (ROADMAP.md item 1).
-        logical = trace is None and full != 1 and n > 1
-        if logical:
+        elif full != 1 and n > 1:
             cache.toggle(cells, full, first - 1)
             repeat(cache.logical[keystream].run, n - 1)
             cache.toggle(cells, full, last - 1)
             repeat(cache.program(last).run, 1)
-        for prog, k in cache.segments(first, last):
-            if trace is not None:
-                ops, steps = prog.ops, count(self.init.steps + self.keystream_phase.steps, prog.steps)
-                repeat(lambda c, f: execute(c, f, ops, trace, next(steps)), k)
-            elif not logical:
+        else:
+            for prog, k in cache.segments(first, last):
                 repeat(prog.run, k)
-            phase.add(prog, k)
         self.cycle = last
 
     def _advance(self, until: int) -> list[int]:
@@ -511,8 +513,7 @@ class CipherSim:
         phase, the output-cell mask."""
         out: list[int] = []
         self._run(1, out)
-        prog = self._programs.program(self.cycle)
-        return PhaseCost(1, prog.steps, dict(prog.census)), (out[0] if out else None)
+        return self._programs.cost(self.cycle, self.cycle), (out[0] if out else None)
 
     def run_init(self) -> None:
         self._advance(self.INIT_CYCLES)

@@ -106,7 +106,7 @@ def test_c2_gate_table_and_truth():
 def test_c3_trivium_cost_reproduction(rng):
     sim = TriviumSim(random_bits(rng, 80), random_bits(rng, 80), Mode.PROPOSED)
     sim.run_init()
-    init_steps = sim.init.stats.steps
+    init_steps = sim.init.steps
     delta, _ = sim.step_cycle()
     report = costs.aggregate(sim)
     marginal_nj = report.keystream.energy_e4 / 1e4
@@ -222,8 +222,8 @@ def test_c4b_grain_simulated_preinit_total(rng):
 
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     sim.run_init()
-    steps = sim.init.stats.steps
-    census = sim.init.stats.census
+    steps = sim.init.steps
+    census = sim.init.census
     sim_buffers = {reg: census[(GateKind.BUFFER, reg)] for reg in ("LFSR", "NFSR")}
 
     checks = {

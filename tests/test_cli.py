@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from implysim import costs, stego
 from implysim.cli import CRYPT_CHUNK, _key_iv_bits, build_parser, main
@@ -605,3 +610,94 @@ def test_crypt_may_read_and_write_one_file(tmp_path):
     assert path.read_bytes() != b"in place"
     assert main(argv) == 0
     assert path.read_bytes() == b"in place"
+
+
+# --- bad input, generated ------------------------------------------------------
+
+# "@" stands for a fresh directory that holds in.bin, cover.pgm and stego.pgm;
+# outputs share the pool so that two of them often name one file
+_PATHS = st.sampled_from(["@/in.bin", "@/cover.pgm", "@/stego.pgm", "@/out.bin", "@/report.txt",
+                          "@/missing/out.bin", "@"])
+_HEX_LENGTHS = {"trivium": (20, 20), "grain128a": (32, 24)}
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: good if i else bad)
+
+
+_COUNTS = _mostly(st.integers(0, 40).map(str), st.text("0123456789-x. ", max_size=4))
+
+
+@st.composite
+def _argv(draw):
+    """argv for one of the five commands.  Each value is mostly a good one;
+    an option the command needs is left out one time in twenty."""
+    command = draw(st.sampled_from(["keystream", "crypt", "stego embed", "stego extract", "plan"]))
+    cipher = draw(st.sampled_from(list(_HEX_LENGTHS)))
+    argv = command.split()
+
+    def option(flag, values, in_20):
+        if draw(st.integers(0, 19)) < in_20:
+            argv.extend([flag, draw(values)])
+
+    option("--cipher", _mostly(st.just(cipher), st.just("aes")), 10 if command == "plan" else 19)
+    option("--mode", _mostly(st.sampled_from(["proposed", "conventional"]), st.just("fast")), 10)
+    if command == "plan":
+        option("--register", st.sampled_from(["A", "B", "C", "LFSR", "NFSR", "D"]), 19)
+        option("--cycles", _COUNTS, 10)
+        option("--out", _PATHS, 10)
+        return argv
+    for flag, n in zip(("--key", "--iv"), _HEX_LENGTHS[cipher]):
+        # wrong lengths, spaces and non-hex letters
+        option(flag, _mostly(st.text("0123456789abcdefABCDEF", min_size=n, max_size=n),
+                             st.text("0123456789abcdefgz -", max_size=34)), 19)
+    option("--report", _mostly(st.sampled_from(["json", "table"]), st.just("xml")), 10)
+    option("--report-out", _PATHS, 6)
+    inputs = {"--in": "@/in.bin", "--cover": "@/cover.pgm", "--stego": "@/stego.pgm"}
+    if command == "keystream":
+        option("-n", _COUNTS, 19)
+        option("--format", st.sampled_from(["hex", "bits"]), 10)
+        option("--out", _PATHS, 10)
+        # a trace of a whole init phase is large, so only paths that fail
+        option("--trace", st.sampled_from(["@", "@/missing/trace.csv"]), 4)
+        return argv
+    if command == "crypt":
+        flags = {"--in": 19}
+    elif command == "stego embed":
+        flags = {"--cover": 19, "--in": 19, "--stego": 19}
+    else:
+        flags = {"--stego": 19}
+    for flag, in_20 in flags.items():
+        option(flag, _mostly(st.just(inputs[flag]), _PATHS), in_20)
+    option("--out", _PATHS, 10 if command == "stego embed" else 19)
+    return argv
+
+
+#: empty, truncated and garbage PGMs: any bytes, or a P5 header and a body
+#: that may be short
+_PGMS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda sep, w, h, maxval, body: b"P5%s%d %d\n%d\n" % (sep, w, h, maxval) + body,
+              st.sampled_from([b"\n", b" ", b""]), st.integers(0, 12), st.integers(0, 12),
+              _mostly(st.just(255), st.sampled_from([1, 65535])), st.binary(max_size=150)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv(), st.binary(max_size=64), _PGMS, _PGMS)
+def test_bad_input_ends_in_an_error_line_and_never_raises(argv, message, cover, image):
+    # a tempfile directory per example: Hypothesis rejects function-scoped
+    # fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in (("in.bin", message), ("cover.pgm", cover), ("stego.pgm", image)):
+            Path(d, name).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main([arg.replace("@", d) for arg in argv])
+            except SystemExit as e:
+                # argparse's usage errors
+                assert e.code == 2 and re.search(r"^implysim.*: error: ", err.getvalue(), re.M), argv
+                return
+    assert rc == 0 or re.search(r"^error: ", err.getvalue(), re.M), (argv, rc, err.getvalue())

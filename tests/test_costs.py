@@ -180,11 +180,14 @@ def test_phase_cost_validation_and_unknown_energy():
 
 
 @pytest.mark.parametrize("phase", ["init", "keystream_phase"])
-def test_aggregate_rejects_census_that_disagrees_with_executed_steps(rng, phase):
+def test_aggregate_rejects_census_that_disagrees_with_executed_steps(rng, phase, monkeypatch):
     sim = TriviumSim(random_bits(rng, 80), random_bits(rng, 80), Mode.PROPOSED)
     sim.keystream(1)
-    # a program whose census claims one AND2 but that executed no pulse
-    getattr(sim, phase).add(CycleProgram((), (((GateKind.AND2, None), 1),), 0), 1)
+    # the phase's first cycle becomes a program whose census claims one AND2
+    # but that executes no pulse
+    bad = CycleProgram((), (((GateKind.AND2, None), 1),), 0)
+    progs = "_init" if phase == "init" else "_keystream"
+    monkeypatch.setattr(sim._programs, progs, [bad, *getattr(sim._programs, progs)[1:]])
     with pytest.raises(AccountingError):
         aggregate(sim)
 

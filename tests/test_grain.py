@@ -65,8 +65,8 @@ def test_preinit_phase_totals(rng):
     assert PREINIT_STEPS_CORRECT == 245894  # +64 vs the published 245830
     sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
     sim.run_init()
-    assert sim.init.stats.steps == PREINIT_STEPS_CORRECT
-    counts = dict(sim.init.stats.census)
+    assert sim.init.steps == PREINIT_STEPS_CORRECT
+    counts = dict(sim.init.census)
     assert counts[(GateKind.XOR2_DESTRUCTIVE, None)] == 31 * PREINIT_CYCLES
     assert counts[(GateKind.XOR2_NONDESTRUCTIVE, None)] == 3 * PREINIT_CYCLES
     assert counts[(GateKind.AND2, None)] == 11 * PREINIT_CYCLES

@@ -1,8 +1,9 @@
 """The shared program cache and the cycle runner.
 
 ``keystream`` runs each phase's cycles as one run, in logical coordinates
-when the row is wider than one lane, and accounts per program;
-``step_cycle`` runs one cycle at a time.
+when the row is wider than one lane; ``step_cycle`` runs one cycle at a
+time.  Either way a sim's accounts are ``ProgramCache.cost`` over its cycle
+count.
 Both must leave the same array state and the same cost report, and sims of
 one cipher × mode share programs without sharing any key-dependent state.
 """
@@ -12,13 +13,14 @@ import random
 from itertools import chain
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs, programs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import CipherSim, ProgramBuilder, ProgramCache, ShiftStage, programs_for
+from implysim.programs import CipherSim, PhaseCost, ProgramBuilder, ProgramCache, ShiftStage, programs_for
 from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
 from implysim.shifting import Element, Mode, plan
 from implysim.trivium_cim import TriviumSim
@@ -174,19 +176,55 @@ def test_runs_match_physical_programs_from_any_row(cipher, mode, starts, width):
             sim = cls([0] * key_len, [0] * iv_len, mode, width)
             sim.cycle = start
             sim.cells = [rng.getrandbits(width) for _ in sim.cells]
-            expected, expected_out, runs = list(sim.cells), [], {}
+            expected, expected_out, steps, census = list(sim.cells), [], 0, {}
             for t in range(start + 1, start + n + 1):
                 prog = cache.program(t)
                 prog.run(expected, full)
-                runs[prog] = runs.get(prog, 0) + 1
+                steps += prog.steps
+                for key, c in prog.census:
+                    census[key] = census.get(key, 0) + c
                 if keystream:
                     expected_out.append(expected[cls.OUT])
             out = []
             sim._run(n, out)
             assert sim.cells == expected, (start, n)
             assert out == expected_out, (start, n)
-            assert (sim.keystream_phase if keystream else sim.init).runs == runs, (start, n)
+            assert cache.cost(start + 1, start + n) == PhaseCost(n, steps, census), (start, n)
             assert sim.cycle == start + n
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cipher", list(CIPHERS))
+def test_cache_lookups_reject_cycles_before_1(cipher, mode):
+    # a cycle 0 or below does not exist, and must not answer as a real one
+    cache = programs_for(CIPHERS[cipher][0], mode)
+    for t in (0, -5):
+        for lookup in (cache.program, lambda t: list(cache.segments(t, 2)), lambda t: cache.cost(t, 2)):
+            with pytest.raises(ValueError, match="cycles count from 1"):
+                lookup(t)
+    with pytest.raises(ValueError, match="parities from P_0"):
+        cache.parity(-1)
+    assert cache.parity(0) == 0
+    assert cache.cost(1, 0) == PhaseCost(0, 0, {})
+    # a range across the init/keystream boundary costs what its two parts do
+    init = cache.init_cycles
+    whole, parts = cache.cost(1, init + 3), (cache.cost(1, init), cache.cost(init + 1, init + 3))
+    assert (whole.cycles, whole.steps) == (init + 3, sum(p.steps for p in parts))
+    assert whole.energy_e4 == sum(p.energy_e4 for p in parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(list(CIPHERS)), st.sampled_from(list(Mode)), st.integers(1, 8),
+       st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_keystream_calls_match_the_oracle_and_the_simulated_form(cipher, mode, width, a, b, rng):
+    cls, _key_len, _iv_len, ref = CIPHERS[cipher]
+    keys, ivs = _lane_keys(rng, cipher, width)
+    sim = cls(lanes_to_masks(keys), lanes_to_masks(ivs), mode, width)
+    masks = sim.keystream(a) + sim.keystream(b)
+    for lane in range(width):
+        assert masks_to_lane(masks, lane) == ref(keys[lane], ivs[lane], a + b), lane
+    report = costs.aggregate(sim)
+    assert (report.total_steps, report.total_energy_uj) == costs.simulated_form(cipher, mode, a + b)
 
 
 def _four_cell_sim(logic):

@@ -72,9 +72,9 @@ def test_memristor_budget():
 def test_init_phase_step_total_and_census(rng):
     sim = TriviumSim(random_bits(rng, 80), random_bits(rng, 80), Mode.PROPOSED)
     sim.run_init()
-    assert sim.init.stats.steps == 797266
+    assert sim.init.steps == 797266
     counts = {}
-    for (kind, tag), n in sim.init.stats.census.items():
+    for (kind, tag), n in sim.init.census.items():
         counts[(kind, tag)] = n
     # logic census: 9 destructive XOR2 and 3 AND2 per cycle
     assert counts[(GateKind.XOR2_DESTRUCTIVE, None)] == 9 * INIT_CYCLES

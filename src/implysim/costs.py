@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .grain_cim import GrainSim
 from .programs import AccountingError, PhaseCost, programs_for
@@ -32,8 +31,7 @@ def _census_rows(census: dict) -> list[tuple[str, int]]:
     ]
 
 
-@dataclass
-class CostReport:
+class CostReport(NamedTuple):
     cipher: str
     mode: Mode
     init: PhaseCost
@@ -94,8 +92,7 @@ PUBLISHED_FORMS: dict[tuple[str, Mode], dict] = {
     ("grain128a", Mode.PROPOSED): {"steps": (942, 245830), "energy_e5uj": (6660, 1768110)},
 }
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     steps_slope: int
     steps_intercept: int
     energy_slope_e4: int  # energy in 1e-4 nJ, the unit of PhaseCost.energy_e4

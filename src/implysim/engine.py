@@ -63,7 +63,10 @@ def execute(
 
 
 class CsvTrace:
-    """Writes one `step_index,kind,p,q,resulting_bit` line per pulse."""
+    """Writes one `step_index,kind,p,q,resulting_bit` line per pulse.
+
+    The bit is lane 0's (``value & 1``): a sim more than one lane wide
+    records lane 0 only."""
 
     def __init__(self, fileobj):
         self._f = fileobj

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import FALSE_P, LayoutError, OperandError, execute
@@ -54,33 +53,30 @@ def _kernel(name: str, n_cells: int, pulses: tuple) -> Callable:
     return namespace[name]
 
 
-@dataclass(frozen=True)
 class GateSpec:
     """One gate kind: operand counts, Boolean function, pulses, output and
-    destroyed positions, evaluated energy, and its kernel."""
+    destroyed positions, evaluated energy, and its kernel.  Specs are
+    compared by identity."""
 
-    kind: GateKind
-    arity: int
-    works: int
-    func: Callable[..., int]
-    #: (p, q) pulses over operand positions, inputs first, then work cells
-    pulses: tuple[tuple[int, int], ...]
-    out: int  # operand position of the result
-    destroyed: tuple[int, ...]  # input positions the pulses overwrite
-    energy_nj: float
-    #: ``kernel(cells, full, operands)`` runs the pulses once per operand
-    #: tuple (inputs then works), in order, updating ``cells`` in place
-    kernel: Callable = field(init=False, repr=False)
+    __slots__ = ("kind", "arity", "works", "func", "pulses", "out", "destroyed", "energy_nj", "kernel")
 
-    def __post_init__(self):
-        n_cells = self.arity + self.works
-        for p, q in self.pulses:
+    def __init__(self, kind: GateKind, arity: int, works: int, func: Callable[..., int],
+                 pulses: tuple[tuple[int, int], ...], out: int, destroyed: tuple[int, ...], energy_nj: float):
+        self.kind, self.arity, self.works, self.func = kind, arity, works, func
+        #: (p, q) pulses over operand positions, inputs first, then work cells
+        self.pulses = pulses
+        self.out = out  # operand position of the result
+        self.destroyed = destroyed  # input positions the pulses overwrite
+        self.energy_nj = energy_nj
+        n_cells = arity + works
+        for p, q in pulses:
             if not (0 <= q < n_cells and (p == FALSE_P or 0 <= p < n_cells)):
-                raise LayoutError(f"{self.kind.value}: pulse {(p, q)} outside its {n_cells} operands")
+                raise LayoutError(f"{kind.value}: pulse {(p, q)} outside its {n_cells} operands")
             if p == q:
-                raise OperandError(f"{self.kind.value}: IMPLY needs distinct cells, got {(p, q)}")
-        name = f"{self.kind.value.lower()}_kernel"
-        object.__setattr__(self, "kernel", _kernel(name, self.arity + self.works, self.pulses))
+                raise OperandError(f"{kind.value}: IMPLY needs distinct cells, got {(p, q)}")
+        #: ``kernel(cells, full, operands)`` runs the pulses once per operand
+        #: tuple (inputs then works), in order, updating ``cells`` in place
+        self.kernel = _kernel(f"{kind.value.lower()}_kernel", n_cells, pulses)
 
     @property
     def steps(self) -> int:

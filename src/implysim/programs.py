@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import count
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
 from .gates import GATE_METRICS, GateKind, GateSpec
@@ -46,8 +45,7 @@ class AccountingError(ValueError):
     """A census fails validation, or a cost comparison is not defined."""
 
 
-@dataclass
-class PhaseCost:
+class PhaseCost(NamedTuple):
     """Cycles, executed steps and gate census of a run of cycles."""
 
     cycles: int
@@ -72,7 +70,6 @@ class PhaseCost:
             raise AccountingError(f"census steps {derived} != executed steps {self.steps}")
 
 
-@dataclass(frozen=True)
 class ShiftStage:
     """One register's whole shift stage, run as one slice move.
 
@@ -83,19 +80,17 @@ class ShiftStage:
     net effect is the parallel move ``cell[m] <- cell[m - 1] XOR flip[m]``
     with ``source`` injected at position 1 and ``scratch`` left holding NOT
     the source of the last buffer emitted; ``run`` applies that effect.
+    Stages compare and hash by those four fields, so equal stages intern.
     """
 
-    cells: tuple[CellId, ...]
-    source: CellId
-    scratch: CellId
-    flips: bytes
-    _move: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("cells", "source", "scratch", "flips", "_move")
 
-    def __post_init__(self):
-        cells, n = self.cells, len(self.cells)
-        if not n or len(self.flips) != n or any(f not in (0, 1) for f in self.flips):
-            raise LayoutError(f"shift stage: {len(self.flips)} flips for {n} cells")
-        if len({*cells, self.source, self.scratch}) != n + 2:
+    def __init__(self, cells: tuple[CellId, ...], source: CellId, scratch: CellId, flips: bytes):
+        self.cells, self.source, self.scratch, self.flips = cells, source, scratch, flips
+        n = len(cells)
+        if not n or len(flips) != n or any(f not in (0, 1) for f in flips):
+            raise LayoutError(f"shift stage: {len(flips)} flips for {n} cells")
+        if len({*cells, source, scratch}) != n + 2:
             raise OperandError("shift stage: register, source and scratch cells must be distinct")
         step = cells[1] - cells[0] if n > 1 else 1
         if step not in (1, -1) or any(cell != cells[0] + i * step for i, cell in enumerate(cells)):
@@ -104,13 +99,21 @@ class ShiftStage:
         # the n - 1 internal transfers as one move in physical order
         dst, src = (slice(lo + 1, lo + n), slice(lo, lo + n - 1)) if step == 1 else (
             slice(lo, lo + n - 1), slice(lo + 1, lo + n))
-        moves = self.flips[1:] if step == 1 else self.flips[:0:-1]
+        moves = flips[1:] if step == 1 else flips[:0:-1]
         # the last buffer emitted is the one into the lowest buffered position
-        first = self.flips.find(0) + 1
-        last_buffer_src = None if not first else self.source if first == 1 else cells[first - 2]
-        move = (dst, src, n - 1, moves, int.from_bytes(moves, "big"),
-                self.source, self.flips[0], cells[0], last_buffer_src, self.scratch)
-        object.__setattr__(self, "_move", move)
+        first = flips.find(0) + 1
+        last_buffer_src = None if not first else source if first == 1 else cells[first - 2]
+        self._move = (dst, src, n - 1, moves, int.from_bytes(moves, "big"),
+                      source, flips[0], cells[0], last_buffer_src, scratch)
+
+    def _key(self) -> tuple:
+        return self.cells, self.source, self.scratch, self.flips
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is ShiftStage else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def census(self) -> list[tuple[GateKind, int]]:
@@ -155,13 +158,17 @@ class ShiftStage:
         c[head] = injected
 
 
-# eq=False: programs are compared and hashed by identity, never by their runs
-@dataclass(frozen=True, eq=False)
 class CycleProgram:
-    runs: tuple[tuple[GateSpec, tuple[tuple[CellId, ...], ...]], ...]  # (gate, operand tuples)
-    census: tuple  # ((GateKind, tag), count) pairs
-    steps: int
-    stages: tuple[ShiftStage, ...] = ()  # the shift stages, run after the logic
+    """One cycle's logic runs, census and steps, then its shift stages.
+    Programs are compared and hashed by identity, never by their runs."""
+
+    __slots__ = ("runs", "census", "steps", "stages")
+
+    def __init__(self, runs: tuple, census: tuple, steps: int, stages: tuple[ShiftStage, ...] = ()):
+        self.runs = runs  # ((GateSpec, operand tuples), ...)
+        self.census = census  # ((GateKind, tag), count) pairs
+        self.steps = steps
+        self.stages = stages  # the shift stages, run after the logic
 
     def run(self, cells: list[int], full: int) -> None:
         """Apply the cycle in place: the logic run by run, then each shift

@@ -18,10 +18,10 @@ Hex conventions (shared with the CLI so oracle and simulator agree):
 
 from __future__ import annotations
 
-import string
 from typing import Sequence
 
 Bits = list[int]
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class InputError(ValueError):
@@ -44,7 +44,7 @@ def hex_to_bytes(s: str, nbytes: int, what: str) -> bytes:
     if len(s) != 2 * nbytes:
         raise InputError(f"{what} must be {2 * nbytes} hex chars, got {len(s)}")
     # bytes.fromhex would skip inner whitespace and return too few bytes
-    if not set(s) <= set(string.hexdigits):
+    if not set(s) <= _HEX_DIGITS:
         raise InputError(f"{what} is not valid hex: use only 0-9, a-f and A-F")
     return bytes.fromhex(s)
 

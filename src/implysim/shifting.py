@@ -27,8 +27,7 @@ and each distinct row is one object shared by every cycle that uses it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .engine import LayoutError
 
@@ -47,24 +46,28 @@ class Mode(enum.Enum):
     PROPOSED = "proposed"
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+class _Layout(NamedTuple):
+    name: str
+    length: int
+    taps: frozenset[int]
+
+
+class RegisterLayout(_Layout):
     """Geometry of one shift register, in flow order.
 
     ``taps`` are the 1-based positions read by the logic in every cycle.
     Position 1 receives the injected value; position N holds the oldest bit.
     """
 
-    name: str
-    length: int
-    taps: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise LayoutError(f"register {self.name}: length must be positive")
-        bad = [t for t in self.taps if not (1 <= t <= self.length)]
+    def __new__(cls, name: str, length: int, taps: frozenset[int]):
+        if length <= 0:
+            raise LayoutError(f"register {name}: length must be positive")
+        bad = [t for t in taps if not (1 <= t <= length)]
         if bad:
-            raise LayoutError(f"register {self.name}: taps out of range: {bad}")
+            raise LayoutError(f"register {name}: taps out of range: {bad}")
+        return super().__new__(cls, name, length, taps)
 
     @property
     def tap_pairs(self) -> list[tuple[int, int]]:
@@ -72,8 +75,7 @@ class RegisterLayout:
         return [(t, t + 1) for t in sorted(self.taps) if (t + 1) in self.taps]
 
 
-@dataclass(frozen=True)
-class ShiftPlan:
+class ShiftPlan(NamedTuple):
     """Per-cycle element choice for each of a register's N transfers.
 
     Transfer m (1-based) writes into position m; transfer 1 is the injection.

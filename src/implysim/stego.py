@@ -10,9 +10,8 @@ extraction is self-delimiting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO, Union
+from typing import NamedTuple, TextIO, Union
 
 from .reference import bits_to_bytes_msb_first, bytes_to_bits_msb_first
 
@@ -31,17 +30,21 @@ class CorruptPayloadError(ValueError):
     """Extraction header declares more bits than the image can hold."""
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """8-bit grayscale image; ``pixels`` holds one byte per pixel, row-major."""
-
+class _Image(NamedTuple):
     width: int
     height: int
     pixels: bytes
 
-    def __post_init__(self):
-        if self.width < 0 or self.height < 0 or len(self.pixels) != self.width * self.height:
-            raise FormatError(f"{len(self.pixels)} pixels do not fill a {self.width}x{self.height} image")
+
+class GrayImage(_Image):
+    """8-bit grayscale image; ``pixels`` holds one byte per pixel, row-major."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, pixels: bytes):
+        if width < 0 or height < 0 or len(pixels) != width * height:
+            raise FormatError(f"{len(pixels)} pixels do not fill a {width}x{height} image")
+        return super().__new__(cls, width, height, pixels)
 
     @property
     def pixel_count(self) -> int:
@@ -82,8 +85,7 @@ def write_pgm(image: GrayImage, path: Union[str, Path]) -> None:
     Path(path).write_bytes(header + image.pixels)
 
 
-@dataclass
-class StegoPayload:
+class StegoPayload(NamedTuple):
     bits: list[int]
 
     @classmethod

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import runpy
@@ -334,6 +335,18 @@ def test_cli_import_loads_only_stdlib():
         " - set(sys.stdlib_module_names) - {'implysim'}))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_path_stays_light():
+    # the benchmark's set-up child imports these three; no run needs
+    # dataclasses (with inspect, ast, dis and tokenize) or string
+    code = (
+        "import sys; before = set(sys.modules); import implysim, implysim.stego, implysim.cli; "
+        "print(sorted({'dataclasses', 'string'} & (set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

@@ -20,9 +20,12 @@ from implysim import costs, programs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
 from implysim.gates import GateKind
 from implysim.grain_cim import GrainSim
-from implysim.programs import CipherSim, PhaseCost, ProgramBuilder, ProgramCache, ShiftStage, programs_for
+from implysim.costs import ClosedForm
+from implysim.programs import (
+    CipherSim, CycleProgram, PhaseCost, ProgramBuilder, ProgramCache, ShiftStage, programs_for,
+)
 from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
-from implysim.shifting import Element, Mode, plan
+from implysim.shifting import Element, Mode, RegisterLayout, plan
 from implysim.trivium_cim import TriviumSim
 
 CIPHERS = {
@@ -113,6 +116,30 @@ def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
     assert len({id(x) for x in operands}) == len(set(operands))
     stages = [stage for prog in set(programs) for stage in prog.stages]
     assert len({id(x) for x in stages}) == len(set(stages))
+
+
+def test_value_types_compare_as_interning_needs():
+    # ProgramCache interns stages by value and keys costs by program, so a
+    # stage compares by its fields and a program by identity; the id count
+    # above would pass trivially if stages compared by identity
+    flips = bytes([1, 0, 1])
+    stage = ShiftStage((0, 1, 2), 10, 11, flips)
+    twin = ShiftStage((0, 1, 2), 10, 11, bytes(bytearray(flips)))
+    assert twin is not stage and twin == stage and hash(twin) == hash(stage) and len({stage, twin}) == 1
+    assert ShiftStage((0, 1, 2), 10, 11, bytes([1, 1, 1])) != stage
+    args = ((), (((GateKind.AND2, None), 1),), 5, (stage,))
+    first, second = CycleProgram(*args), CycleProgram(*args)
+    assert first != second and len({first, second}) == 2 and first == first
+
+    layout = RegisterLayout("toy", 5, frozenset({2, 5}))
+    assert RegisterLayout("toy", 5, frozenset({5, 2})) == layout
+    assert RegisterLayout("toy", 5, frozenset({2})) != layout
+    assert plan(layout, Mode.PROPOSED) is not plan(layout, Mode.PROPOSED)
+    assert plan(layout, Mode.PROPOSED) == plan(layout, Mode.PROPOSED) != plan(layout, Mode.CONVENTIONAL)
+    assert ClosedForm(710, 797266, 4780, 5347310) == ClosedForm(710, 797266, 4780, 5347310)
+    assert ClosedForm(710, 797266, 4780, 5347310) != ClosedForm(710, 797266, 4780, 0)
+    census = {(GateKind.AND2, None): 2}
+    assert PhaseCost(1, 10, dict(census)) == PhaseCost(1, 10, census) != PhaseCost(2, 10, census)
 
 
 def test_trace_sees_every_pulse_in_program_order():

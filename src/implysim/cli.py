@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import costs, grain_cim, shifting, stego, trivium_cim
+from . import costs, shifting, stego
 from .engine import CsvTrace
 from .reference import (
     InputError,
@@ -24,6 +24,7 @@ from .reference import (
     bytes_to_bits_msb_first,
     grain_key_bits,
     trivium_key_bits,
+    xorcrypt,
 )
 from .shifting import Mode, count_elements, write_csv
 
@@ -39,17 +40,13 @@ def _count(text: str) -> int:
     return value
 
 
-def _mode(args) -> Mode:
-    return Mode(args.mode)
-
-
 def _key_iv_bits(cipher: str, key_hex: str, iv_hex: str):
     if cipher == "trivium":
         return trivium_key_bits(key_hex, "key"), trivium_key_bits(iv_hex, "iv")
     return grain_key_bits(key_hex, 16, "key"), grain_key_bits(iv_hex, 12, "iv")
 
 
-def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: Mode):
+def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: str):
     key, iv = _key_iv_bits(cipher, key_hex, iv_hex)
     return costs.SIMS[cipher](key, iv, mode)
 
@@ -85,7 +82,7 @@ def _emit_report(sim, fmt: str, out_path: str | None) -> None:
 
 
 def cmd_keystream(args) -> int:
-    sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+    sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
     _check_output(args.out, args.report_out, args.trace)
     # the trace file is opened only once the key, IV and outputs have passed
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
@@ -110,13 +107,13 @@ CRYPT_CHUNK = 256  #: message bytes per keystream call: crypt's memory stays fla
 
 def cmd_crypt(args) -> int:
     data = Path(args.infile).read_bytes()
-    sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+    sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
     _check_output(args.out, args.report_out)
     sim.run_init()  # an empty message still runs and reports the init phase
     out = bytearray()
     for i in range(0, len(data), CRYPT_CHUNK):
         message = bytes_to_bits_msb_first(data[i:i + CRYPT_CHUNK])
-        out += bits_to_bytes_msb_first([m ^ k for m, k in zip(message, sim.keystream(len(message)))])
+        out += bits_to_bytes_msb_first(xorcrypt(message, sim.keystream(len(message))))
     Path(args.out).write_bytes(out)
     if args.report:
         _emit_report(sim, args.report, args.report_out)
@@ -129,33 +126,26 @@ def cmd_stego(args) -> int:
         data = Path(args.infile).read_bytes()
         message = bytes_to_bits_msb_first(data)
         stego.check_capacity(cover, len(message))
-        sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+        sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
         _check_output(args.stego, args.report_out)
-        ks = sim.keystream(len(message))
-        payload = stego.StegoPayload([m ^ k for m, k in zip(message, ks)])
+        payload = stego.StegoPayload(xorcrypt(message, sim.keystream(len(message))))
         image = stego.embed_lsb(cover, payload)
         stego.write_pgm(image, args.stego)
         print(f"PSNR: {stego.psnr(cover, image):.3f} dB")
     else:
         image = stego.read_pgm(args.stego)
         payload = stego.extract_lsb(image)
-        sim = _make_sim(args.cipher, args.key, args.iv, _mode(args))
+        sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
         _check_output(args.out, args.report_out)
-        ks = sim.keystream(len(payload.bits))
-        plain = stego.StegoPayload([c ^ k for c, k in zip(payload.bits, ks)])
+        payload.to_bytes()  # a partial byte fails here, before any keystream cycle runs
+        plain = stego.StegoPayload(xorcrypt(payload.bits, sim.keystream(len(payload.bits))))
         Path(args.out).write_bytes(plain.to_bytes())
     if args.report:
         _emit_report(sim, args.report, args.report_out)
     return 0
 
 
-_REGISTERS = {
-    "A": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
-    "B": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
-    "C": (trivium_cim.TriviumSim.LAYOUTS, "trivium"),
-    "LFSR": (grain_cim.GrainSim.LAYOUTS, "grain128a"),
-    "NFSR": (grain_cim.GrainSim.LAYOUTS, "grain128a"),
-}
+_REGISTERS = {name: (cls.LAYOUTS, cls.CIPHER) for cls in costs.SIMS.values() for name in cls.REGISTERS}
 
 
 def cmd_plan(args) -> int:
@@ -165,7 +155,7 @@ def cmd_plan(args) -> int:
         print(f"error: register {args.register} belongs to {cipher}", file=sys.stderr)
         return 2
     layout = layouts[args.register]
-    plan = shifting.plan(layout, _mode(args))
+    plan = shifting.plan(layout, args.mode)
     for t in range(1, args.cycles + 1):
         buffers, inverters = plan.census(t)
         print(f"{t},{buffers},{inverters}")

@@ -577,9 +577,12 @@ def test_failed_run_leaves_existing_output_unchanged(tmp_path, capsys, monkeypat
         assert main(["stego", "embed", *common, "--cover", str(cover), "--in", str(msg),
                      "--stego", str(existing)]) == 1
     elif case == "extract-partial-byte":
+        calls = []
+        monkeypatch.setattr(CipherSim, "keystream", lambda sim, n: calls.append(n) or [0] * n)
         _c, _m, odd = _stego_inputs(tmp_path, payload_bits=10)  # not a whole number of bytes
         assert main(["stego", "extract", *common, "--stego", str(odd), "--out", str(existing)]) == 1
-        assert "whole number of bytes" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: payload bit count is not a whole number of bytes\n"
+        assert calls == []  # the payload is checked before any keystream cycle runs
     else:
         def interrupted(sim, n):
             raise KeyboardInterrupt

@@ -99,7 +99,7 @@ def test_importing_the_cli_builds_no_program():
         " and frame.f_code.co_name == '_build_cycle' and built.append(1)); "
         "import implysim.cli; from implysim.programs import _cached, programs_for; "
         "print(_cached.cache_info().currsize, len(built)); "
-        "sim = implysim.cli.trivium_cim.TriviumSim([0] * 80, [0] * 80); sys.setprofile(None); "
+        "sim = implysim.trivium_cim.TriviumSim([0] * 80, [0] * 80); sys.setprofile(None); "
         "print(_cached.cache_info().currsize, len(built) > 0,"
         " programs_for(type(sim), sim.mode) is sim._programs)"
     )

@@ -48,17 +48,10 @@ def execute(
     This is the reference interpreter: cipher runs without a trace use the
     gate kernels generated in ``gates``, which the tests compare against it.
     """
-    if trace is None:
-        for p, q in ops:
-            cells[q] = 0 if p < 0 else ((cells[p] ^ full) | cells[q])
-        return len(ops)
-    for n, (p, q) in enumerate(ops):
-        if p < 0:
-            cells[q] = 0
-            trace(step_base + n, "FALSE", None, q, cells[q])
-        else:
-            cells[q] = (cells[p] ^ full) | cells[q]
-            trace(step_base + n, "IMPLY", p, q, cells[q])
+    for step, (p, q) in enumerate(ops, step_base):
+        cells[q] = 0 if p < 0 else (cells[p] ^ full) | cells[q]
+        if trace is not None:
+            trace(step, "FALSE" if p < 0 else "IMPLY", None if p < 0 else p, q, cells[q])
     return len(ops)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import count
+from itertools import count, islice
 from typing import NamedTuple, Optional, Sequence
 
 from .engine import CellId, LayoutError, OperandError, TraceFn, execute
@@ -38,7 +38,6 @@ from .shifting import Mode, RegisterLayout, plan
 
 
 _INVERTER, _BUFFER = GATE_METRICS[GateKind.INVERTER], GATE_METRICS[GateKind.BUFFER]
-_BITS = bytes.maketrans(b"\0\1", b"01")  # a plan row as the digits of a binary int
 
 
 class AccountingError(ValueError):
@@ -259,18 +258,13 @@ class ProgramCache:
         last_keystream = max(self.init_cycles + 1, self.steady_from)
         self._init = [program(False, t) for t in range(1, last_init + 1)]
         self._keystream = [program(True, t) for t in range(self.init_cycles + 1, last_keystream + 1)]
-        # P_t for t < steady_from, one mask per cycle: each register's parity
-        # walks as in ``plan``, in its cells' order along the row
-        spans = [(p, min(cells), ((1 << len(cells)) - 1) << min(cells), cells[0] > cells[-1])
-                 for p, cells in zip(plans, cls.REGISTERS.values())]
-        self._parity = [0]
-        for t in range(1, self.steady_from):
-            held, now = self._parity[-1], 0
-            for p, lo, span, down in spans:
-                row = p.elements(t)
-                moved = (held & span) >> 1 if down else (held & span) << 1
-                now |= moved & span ^ int((row if down else row[::-1]).translate(_BITS), 2) << lo
-            self._parity.append(now)
+        # P_t for t < steady_from, one mask per cycle: each register's
+        # parity laid along its cells, bit-reversed where they descend
+        self._parity = [0] * self.steady_from
+        for p, cells in zip(plans, cls.REGISTERS.values()):
+            n, lo, down = len(cells), min(cells), cells[0] > cells[-1]
+            for t, pi in enumerate(islice(p.parities(), self.steady_from)):
+                self._parity[t] |= (int(f"{pi:0{n}b}"[::-1], 2) if down else pi) << lo
         conventional = self if mode is Mode.CONVENTIONAL else programs_for(cls, Mode.CONVENTIONAL)
         #: each phase's program in logical coordinates
         self.logical = (conventional.program(1), conventional.program(self.init_cycles + 1))

@@ -19,7 +19,8 @@ alternates buffer/inverter for d cycles and then settles on an inverter
 when d is odd and a buffer when d is even, and adjacent tap pairs are
 buffered in every cycle.  So every plan is a finite transitional prefix
 followed by one steady row, and ``plan`` always runs to that fixed point;
-horizons belong to the functions that read a plan.  A row is ``bytes``, byte
+horizons belong to the functions that read a plan; ``ShiftPlan.parities``
+replays the parity walk over any plan's rows.  A row is ``bytes``, byte
 m-1 = 1 where transfer m is an inverter (the form of ``ShiftStage.flips``),
 and each distinct row is one object shared by every cycle that uses it.
 """
@@ -27,9 +28,12 @@ and each distinct row is one object shared by every cycle that uses it.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, TextIO
+from itertools import chain, islice, repeat
+from typing import Iterator, NamedTuple, TextIO
 
 from .engine import LayoutError
+
+_BITS = bytes.maketrans(b"\0\1", b"01")  # a plan row as the digits of a binary int
 
 
 class SchedulingError(RuntimeError):
@@ -105,11 +109,24 @@ class ShiftPlan(NamedTuple):
             raise ValueError("cycles are 1-based")
         if not (1 <= transfer <= self.length):
             raise ValueError(f"transfer {transfer} out of range")
+        if element not in (Element.BUFFER, Element.INVERTER):
+            raise ValueError(f"element {element!r} is neither a buffer nor an inverter")
         rows = [self.elements(t) for t in range(1, max(cycle, len(self.prefix)) + 1)]
         row = bytearray(rows[cycle - 1])
         row[transfer - 1] = element
         rows[cycle - 1] = bytes(row)
         return ShiftPlan(self.register, self.length, tuple(rows), self.steady)
+
+    def parities(self) -> Iterator[int]:
+        """P_0, P_1, ...: the parity of every position after each cycle, one
+        int per cycle with bit m-1 for position m; endless.  It replays
+        ``plan``'s recurrence over the plan's own rows, so it holds for any
+        plan, one built by ``with_element`` too."""
+        full = (1 << self.length) - 1
+        pi = 0  # injected values are true polarity
+        for row in chain(self.prefix, repeat(self.steady)):
+            yield pi
+            pi = (pi << 1) & full ^ int(row[::-1].translate(_BITS), 2)
 
 
 def plan(layout: RegisterLayout, mode: Mode) -> ShiftPlan:
@@ -146,13 +163,9 @@ def verify_polarity(plan: ShiftPlan, layout: RegisterLayout, cycles: int) -> boo
     """True iff every tap has parity 0 at the start of each of cycles 1..cycles."""
     if layout.length != plan.length:
         raise LayoutError("plan/layout length mismatch")
-    pi = [0] * layout.length  # pi[m - 1]: parity of position m
-    for t in range(1, cycles + 1):
-        # taps are consumed at the start of cycle t, before its shift
-        if any(pi[k - 1] for k in layout.taps):
-            return False
-        pi = apply_cycle(pi, 0, plan.elements(t))
-    return True
+    # taps are consumed at the start of cycle t, before its shift: P_{t-1}
+    taps = sum(1 << (m - 1) for m in layout.taps)
+    return not any(pi & taps for pi in islice(plan.parities(), cycles))
 
 
 def count_elements(plan: ShiftPlan, first: int, last: int) -> tuple[int, int]:
@@ -170,17 +183,6 @@ def count_elements(plan: ShiftPlan, first: int, last: int) -> tuple[int, int]:
         buffers += b * (last - t + 1)
         inverters += i * (last - t + 1)
     return buffers, inverters
-
-
-def apply_cycle(stored: list[int], input_bit: int, elems: bytes) -> list[int]:
-    """One cycle of stored-bit evolution under a plan row (software model):
-    position m takes position m-1's bit, or ``input_bit`` at m = 1, XOR
-    ``elems[m - 1]``.  With ``input_bit`` 0 it steps a parity list."""
-    out = list(stored)
-    for m in range(len(stored), 0, -1):
-        src = input_bit if m == 1 else stored[m - 2]
-        out[m - 1] = src ^ elems[m - 1]
-    return out
 
 
 def write_csv(plan: ShiftPlan, fileobj: TextIO, cycles: int) -> None:

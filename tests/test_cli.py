@@ -63,6 +63,26 @@ def test_keystream_report_json_matches_closed_form(capsys, tmp_path):
     assert report["mode"] == "proposed"
 
 
+# sha256 (first 16 hex digits) of `implysim keystream -n 300 --report json`
+# stdout, the keystream hex and then the report, for every cipher x mode
+KEYSTREAM_REPORT_SHA256 = {
+    ("trivium", "proposed"): "ce5f7ac9340aebe6",
+    ("trivium", "conventional"): "4c00352db51333bf",
+    ("grain128a", "proposed"): "b7692ba31cd09d89",
+    ("grain128a", "conventional"): "bd223aaa4cd61bea",
+}
+
+
+@pytest.mark.parametrize("cipher,mode", list(KEYSTREAM_REPORT_SHA256))
+def test_keystream_json_report_is_pinned(capsys, cipher, mode):
+    key, iv = (KEY_T, IV_T) if cipher == "trivium" else (KEY_G, IV_G)
+    rc = main(["keystream", "--cipher", cipher, "--mode", mode, "--key", key, "--iv", iv,
+               "-n", "300", "--report", "json"])
+    assert rc == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == KEYSTREAM_REPORT_SHA256[cipher, mode]
+
+
 def test_one_parser_serves_every_call_without_carrying_state(capsys):
     # the parser is built once per process; a later call must not see an
     # earlier call's options

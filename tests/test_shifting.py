@@ -1,5 +1,6 @@
 import io
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,6 @@ from implysim.shifting import (
     Element,
     Mode,
     RegisterLayout,
-    apply_cycle,
     count_elements,
     plan as plan_for,
     verify_polarity,
@@ -60,6 +60,17 @@ TOY_D6 = {  # taps at cells 6,7 -> positions 7,8; 6 cells between input and firs
         (None, [0, 1, 1, 1, 1, 1, 1, 0]),
     ],
 }
+
+
+def apply_cycle(stored: list[int], input_bit: int, elems: bytes) -> list[int]:
+    """One cycle of stored-bit evolution under a plan row (software model):
+    position m takes position m-1's bit, or ``input_bit`` at m = 1, XOR
+    ``elems[m - 1]``.  With ``input_bit`` 0 it steps a parity list."""
+    out = list(stored)
+    for m in range(len(stored), 0, -1):
+        src = input_bit if m == 1 else stored[m - 2]
+        out[m - 1] = src ^ elems[m - 1]
+    return out
 
 
 @pytest.mark.parametrize("toy", [TOY_D5, TOY_D6], ids=["distance5", "distance6"])
@@ -202,6 +213,13 @@ def test_with_element_rejects_cycle_zero(mode):
         plan.with_element(0, 1, Element.INVERTER)
 
 
+@pytest.mark.parametrize("element", [2, -1, 255])
+def test_with_element_rejects_an_element_other_than_buffer_or_inverter(element):
+    plan = plan_for(TriviumSim.LAYOUTS["A"], Mode.PROPOSED)
+    with pytest.raises(ValueError, match="neither a buffer nor an inverter"):
+        plan.with_element(1, 1, element)
+
+
 def test_plan_csv_dump():
     layout = RegisterLayout("toy", 3, frozenset({3}))
     plan = plan_for(layout, Mode.PROPOSED)
@@ -322,3 +340,39 @@ def test_plan_shares_one_bytes_object_per_distinct_row(layout, mode):
     assert all(type(row) is bytes for row in rows)
     expected = DISTINCT_PROPOSED_ROWS[layout.name] if mode is Mode.PROPOSED else 1
     assert len({id(row) for row in rows}) == len(set(rows)) == expected
+
+
+def _list_parities(plan, cycles):
+    """P_0 .. P_{cycles-1} from a per-position list walk (test reference),
+    each packed with bit m-1 for position m."""
+    pi = [0] * plan.length  # pi[m - 1]: parity of position m
+    out = []
+    for t in range(1, cycles + 1):
+        out.append(sum(bit << k for k, bit in enumerate(pi)))
+        pi = apply_cycle(pi, 0, plan.elements(t))
+    return out
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("layout", CIPHER_LAYOUTS, ids=lambda l: l.name)
+def test_parities_match_the_list_walk(layout, mode):
+    plan = plan_for(layout, mode)
+    cycles = 2 * layout.length
+    assert list(islice(plan.parities(), cycles)) == _list_parities(plan, cycles)
+    # a planner plan's parity settles once its transitional prefix is over
+    steady = list(islice(plan.parities(), len(plan.prefix), cycles))
+    assert steady == [steady[0]] * len(steady)
+    assert not steady[0] & sum(1 << (m - 1) for m in layout.taps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts(), st.sampled_from(list(Mode)), st.data())
+def test_parities_of_with_element_plans_match_the_list_walk(layout, mode, data):
+    n = layout.length
+    plan = plan_for(layout, mode)
+    cycle = data.draw(st.integers(1, 2 * n), label="cycle")
+    transfer = data.draw(st.integers(1, n), label="transfer")
+    element = data.draw(st.sampled_from(list(Element)), label="element")
+    bad = plan.with_element(cycle, transfer, element)
+    cycles = cycle + 2 * n
+    assert list(islice(bad.parities(), cycles)) == _list_parities(bad, cycles)

@@ -22,8 +22,6 @@ from .reference import (
     bits_to_bytes_lsb_first,
     bits_to_bytes_msb_first,
     bytes_to_bits_msb_first,
-    grain_key_bits,
-    trivium_key_bits,
     xorcrypt,
 )
 from .shifting import Mode, count_elements, write_csv
@@ -40,15 +38,9 @@ def _count(text: str) -> int:
     return value
 
 
-def _key_iv_bits(cipher: str, key_hex: str, iv_hex: str):
-    if cipher == "trivium":
-        return trivium_key_bits(key_hex, "key"), trivium_key_bits(iv_hex, "iv")
-    return grain_key_bits(key_hex, 16, "key"), grain_key_bits(iv_hex, 12, "iv")
-
-
 def _make_sim(cipher: str, key_hex: str, iv_hex: str, mode: str):
-    key, iv = _key_iv_bits(cipher, key_hex, iv_hex)
-    return costs.SIMS[cipher](key, iv, mode)
+    cls = costs.SIMS[cipher]
+    return cls(*cls.key_iv_bits(key_hex, iv_hex), mode)
 
 
 def _check_output(*paths: str | None) -> None:

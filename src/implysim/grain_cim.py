@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from .gates import GateKind
 from .programs import CipherSim, ProgramBuilder
+from .reference import grain_key_bits
 
 PREINIT_CYCLES = 256
 
@@ -124,6 +125,11 @@ class GrainSim(CipherSim):
     KEY = tuple(map(b, range(128)))
     IV = tuple(map(s, range(96)))
     ONES = tuple(map(s, range(96, 127)))
+
+    @staticmethod
+    def key_iv_bits(key_hex: str, iv_hex: str):
+        """The key and IV bits of 32 and 24 hex chars (Grain convention, see ``reference``)."""
+        return grain_key_bits(key_hex, 16, "key"), grain_key_bits(iv_hex, 12, "iv")
 
     @staticmethod
     def _logic(pb: ProgramBuilder, keystream: bool):

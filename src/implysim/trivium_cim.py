@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .gates import GateKind
 from .programs import CipherSim, ProgramBuilder
+from .reference import trivium_key_bits
 
 INIT_CYCLES = 1152
 
@@ -59,6 +60,11 @@ class TriviumSim(CipherSim):
     KEY = tuple(map(a, range(1, 81)))
     IV = tuple(map(b, range(1, 81)))
     ONES = (c(109), c(110), c(111))
+
+    @staticmethod
+    def key_iv_bits(key_hex: str, iv_hex: str):
+        """The key and IV bits of 20 hex chars each (eSTREAM convention, see ``reference``)."""
+        return trivium_key_bits(key_hex, "key"), trivium_key_bits(iv_hex, "iv")
 
     @staticmethod
     def _logic(pb: ProgramBuilder, keystream: bool):

@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ciphers import ORACLES
 from implysim import costs, stego
-from implysim.cli import CRYPT_CHUNK, _key_iv_bits, build_parser, main
+from implysim.cli import CRYPT_CHUNK, build_parser, main
 from implysim.programs import CipherSim
-from implysim.reference import (
-    bits_to_bytes_msb_first, bytes_to_bits_msb_first, grain128a_ref, trivium_ref, xorcrypt,
-)
+from implysim.reference import bits_to_bytes_msb_first, bytes_to_bits_msb_first, xorcrypt
 from implysim.shifting import Mode
 
 KEY_T = "80000000000000000000"
@@ -64,23 +63,24 @@ def test_keystream_report_json_matches_closed_form(capsys, tmp_path):
 
 
 # sha256 (first 16 hex digits) of `implysim keystream -n 300 --report json`
-# stdout, the keystream hex and then the report, for every cipher x mode
+# stdout, the keystream hex and then the report, for every cipher x mode,
+# with the key and IV it was taken for
 KEYSTREAM_REPORT_SHA256 = {
-    ("trivium", "proposed"): "ce5f7ac9340aebe6",
-    ("trivium", "conventional"): "4c00352db51333bf",
-    ("grain128a", "proposed"): "b7692ba31cd09d89",
-    ("grain128a", "conventional"): "bd223aaa4cd61bea",
+    ("trivium", "proposed"): (KEY_T, IV_T, "ce5f7ac9340aebe6"),
+    ("trivium", "conventional"): (KEY_T, IV_T, "4c00352db51333bf"),
+    ("grain128a", "proposed"): (KEY_G, IV_G, "b7692ba31cd09d89"),
+    ("grain128a", "conventional"): (KEY_G, IV_G, "bd223aaa4cd61bea"),
 }
 
 
 @pytest.mark.parametrize("cipher,mode", list(KEYSTREAM_REPORT_SHA256))
 def test_keystream_json_report_is_pinned(capsys, cipher, mode):
-    key, iv = (KEY_T, IV_T) if cipher == "trivium" else (KEY_G, IV_G)
+    key, iv, pinned = KEYSTREAM_REPORT_SHA256[cipher, mode]
     rc = main(["keystream", "--cipher", cipher, "--mode", mode, "--key", key, "--iv", iv,
                "-n", "300", "--report", "json"])
     assert rc == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-    assert digest == KEYSTREAM_REPORT_SHA256[cipher, mode]
+    assert digest == pinned
 
 
 def test_one_parser_serves_every_call_without_carrying_state(capsys):
@@ -137,6 +137,21 @@ def test_whitespace_inside_hex_is_not_valid_hex(capsys, cipher, key, iv):
     assert "is not valid hex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cls", list(costs.SIMS.values()), ids=lambda cls: cls.CIPHER)
+def test_each_class_parses_hex_of_its_own_key_and_iv_lengths(capsys, cls):
+    # a class's key_iv_bits fills its KEY and IV cells, and names their hex
+    # lengths when one is a char short
+    n_key, n_iv = len(cls.KEY) // 4, len(cls.IV) // 4
+    key, iv = "f" * n_key, "0" * n_iv
+    key_bits, iv_bits = cls.key_iv_bits(key, iv)
+    assert (len(key_bits), len(iv_bits)) == (len(cls.KEY), len(cls.IV))
+    assert set(key_bits) == {1} and set(iv_bits) == {0}
+    for what, n, hex_args in (("key", n_key, ["--key", key[1:], "--iv", iv]),
+                              ("iv", n_iv, ["--key", key, "--iv", iv[1:]])):
+        assert main(["keystream", "--cipher", cls.CIPHER, *hex_args, "-n", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {what} must be {n} hex chars, got {n - 1}\n")
+
+
 def test_missing_iv_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["keystream", "--cipher", "grain128a", "--key", KEY_G, "-n", "1"])
@@ -185,17 +200,18 @@ def test_crypt_wrong_key_does_not_decrypt(tmp_path, rng):
 def test_crypt_in_chunks_matches_the_oracle_and_a_one_shot_report(tmp_path, cipher, size):
     # crypt runs the keystream one chunk at a time; the ciphertext must be
     # the oracle keystream's XOR and the report that of one keystream call
-    key, iv = (KEY_T, IV_T) if cipher == "trivium" else ("0123456789abcdef0123456789abcdef", IV_G)
+    cls = costs.SIMS[cipher]
+    key, iv = "0123456789abcdef0123456789abcdef"[:len(cls.KEY) // 4], "0" * (len(cls.IV) // 4)
     data = random.Random(size).randbytes(size)
     src, dst, report = tmp_path / "in.bin", tmp_path / "out.bin", tmp_path / "report.json"
     src.write_bytes(data)
     assert main(["crypt", "--cipher", cipher, "--key", key, "--iv", iv, "--in", str(src), "--out", str(dst),
                  "--report", "json", "--report-out", str(report)]) == 0
-    key_bits, iv_bits = _key_iv_bits(cipher, key, iv)
+    key_bits, iv_bits = cls.key_iv_bits(key, iv)
     message = bytes_to_bits_msb_first(data)
-    ref = trivium_ref if cipher == "trivium" else grain128a_ref
-    assert dst.read_bytes() == bits_to_bytes_msb_first(xorcrypt(message, ref(key_bits, iv_bits, len(message))))
-    sim = costs.SIMS[cipher](key_bits, iv_bits)
+    keystream = ORACLES[cls](key_bits, iv_bits, len(message))
+    assert dst.read_bytes() == bits_to_bytes_msb_first(xorcrypt(message, keystream))
+    sim = cls(key_bits, iv_bits)
     sim.keystream(len(message))
     assert report.read_text() == costs.aggregate(sim).to_json() + "\n"
 
@@ -654,7 +670,7 @@ def test_crypt_may_read_and_write_one_file(tmp_path):
 # outputs share the pool so that two of them often name one file
 _PATHS = st.sampled_from(["@/in.bin", "@/cover.pgm", "@/stego.pgm", "@/out.bin", "@/report.txt",
                           "@/missing/out.bin", "@"])
-_HEX_LENGTHS = {"trivium": (20, 20), "grain128a": (32, 24)}
+_HEX_LENGTHS = {cipher: (len(cls.KEY) // 4, len(cls.IV) // 4) for cipher, cls in costs.SIMS.items()}
 
 
 def _mostly(good, bad):

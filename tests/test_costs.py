@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_bits
 from implysim.costs import (
+    SIMS,
     AccountingError,
     PhaseCost,
     aggregate,
@@ -67,8 +68,7 @@ def test_closed_form_rejects_negative_n(form):
 
 
 @pytest.mark.parametrize("cipher,cls,klen,ivlen", [
-    ("trivium", TriviumSim, 80, 80),
-    ("grain128a", GrainSim, 128, 96),
+    (cipher, cls, len(cls.KEY), len(cls.IV)) for cipher, cls in SIMS.items()
 ])
 @pytest.mark.parametrize("mode", [Mode.PROPOSED, Mode.CONVENTIONAL])
 def test_simulated_form_matches_simulation(rng, cipher, cls, klen, ivlen, mode):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import lanes_to_masks, masks_to_lane, random_bits
+from conftest import random_bits
 from implysim import costs
 from implysim.gates import GateKind
 from implysim.grain_cim import (
@@ -11,7 +11,7 @@ from implysim.grain_cim import (
     b,
     s,
 )
-from implysim.reference import InputError, grain128a_ref
+from implysim.reference import InputError
 from implysim.shifting import Mode
 
 # Independently derived pre-init shift-step total: 396 logic steps per cycle
@@ -34,13 +34,6 @@ def test_load_key_iv_placement():
     cells = GrainSim.load_key_iv([0] * 128, [1] * 96)
     assert all(cells[s(i)] == 1 for i in range(96))
     assert cells[s(127)] == 0
-
-
-def test_load_rejects_wrong_lengths():
-    with pytest.raises(InputError):
-        GrainSim.load_key_iv([0] * 127, [0] * 96)
-    with pytest.raises(InputError):
-        GrainSim.load_key_iv([0] * 128, [0] * 97)
 
 
 def test_direct_load_checks_entries_width_and_row_length():
@@ -113,26 +106,6 @@ def test_keystream_cycle_costs(rng):
     assert delta.steps == 378 + 256 * 4  # 1402
 
 
-def test_keystream_matches_reference_all_modes(rng):
-    lanes = 8
-    keys = [random_bits(rng, 128) for _ in range(lanes)]
-    ivs = [random_bits(rng, 96) for _ in range(lanes)]
-    n = 192
-    refs = [grain128a_ref(keys[w], ivs[w], n) for w in range(lanes)]
-    for mode in (Mode.PROPOSED, Mode.CONVENTIONAL):
-        sim = GrainSim(lanes_to_masks(keys), lanes_to_masks(ivs), mode, width=lanes)
-        masks = sim.keystream(n)
-        for w in range(lanes):
-            assert masks_to_lane(masks, w) == refs[w], (mode, w)
-
-
-def test_mode_invariance_of_bits(rng):
-    key, iv = random_bits(rng, 128), random_bits(rng, 96)
-    assert GrainSim(key, iv, Mode.PROPOSED).keystream(64) == GrainSim(
-        key, iv, Mode.CONVENTIONAL
-    ).keystream(64)
-
-
 def test_logic_stage_preserves_every_register_cell(rng):
     # all main memristors stay intact until the shifts: destructive XOR
     # operands are always scratch accumulators
@@ -145,9 +118,3 @@ def test_logic_stage_preserves_every_register_cell(rng):
 
     execute(cells, 1, prog.ops[:378])  # logic stage only
     assert cells[:256] == before[:256]
-
-
-def test_n_zero_returns_empty_after_full_preinit(rng):
-    sim = GrainSim(random_bits(rng, 128), random_bits(rng, 96), Mode.PROPOSED)
-    assert sim.keystream(0) == []
-    assert sim.cycle == PREINIT_CYCLES

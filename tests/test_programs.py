@@ -11,10 +11,12 @@ one cipher × mode share programs without sharing any key-dependent state.
 import hashlib
 import random
 from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ciphers import ORACLES
 from conftest import lanes_to_masks, masks_to_lane, random_bits
 from implysim import costs, programs
 from implysim.engine import CsvTrace, LayoutError, OperandError, execute
@@ -24,22 +26,23 @@ from implysim.costs import ClosedForm
 from implysim.programs import (
     CipherSim, CycleProgram, PhaseCost, ProgramBuilder, ProgramCache, ShiftStage, programs_for,
 )
-from implysim.reference import InputError, grain128a_ref, grain_key_bits, trivium_ref
+from implysim.reference import InputError
 from implysim.shifting import Element, Mode, RegisterLayout, plan
 from implysim.trivium_cim import TriviumSim
 
-CIPHERS = {
-    "trivium": (TriviumSim, 80, 80, trivium_ref),
-    "grain128a": (GrainSim, 128, 96, grain128a_ref),
-}
+EACH_CIPHER = pytest.mark.parametrize("cls", list(ORACLES), ids=lambda cls: cls.CIPHER)
 N_BITS = 40
 
 
-def _lane_keys(rng, cipher, width):
-    _cls, key_len, iv_len, _ref = CIPHERS[cipher]
-    keys = [random_bits(rng, key_len) for _ in range(width)]
-    ivs = [random_bits(rng, iv_len) for _ in range(width)]
+def _lane_keys(rng, cls, width):
+    keys = [random_bits(rng, len(cls.KEY)) for _ in range(width)]
+    ivs = [random_bits(rng, len(cls.IV)) for _ in range(width)]
     return keys, ivs
+
+
+def _zero_sim(cls, *args, **kwargs):
+    """A sim of ``cls`` on the all-zero key and IV."""
+    return cls([0] * len(cls.KEY), [0] * len(cls.IV), *args, **kwargs)
 
 
 def _snapshot(sim):
@@ -48,10 +51,9 @@ def _snapshot(sim):
 
 @pytest.mark.parametrize("width", [1, 64])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_segment_runner_matches_cycle_at_a_time(cipher, mode, width):
-    cls, _key_len, _iv_len, ref = CIPHERS[cipher]
-    keys, ivs = _lane_keys(random.Random(f"{cipher}-{mode.value}-{width}"), cipher, width)
+@EACH_CIPHER
+def test_segment_runner_matches_cycle_at_a_time(cls, mode, width):
+    keys, ivs = _lane_keys(random.Random(f"{cls.CIPHER}-{mode.value}-{width}"), cls, width)
     key, iv = lanes_to_masks(keys), lanes_to_masks(ivs)
     segments = cls(key, iv, mode, width)
     stepped = cls(key, iv, mode, width)
@@ -79,17 +81,16 @@ def test_segment_runner_matches_cycle_at_a_time(cipher, mode, width):
     assert _snapshot(stepped) == at_end
     assert _snapshot(mixed) == at_end
     for lane in range(width):
-        expected = ref(keys[lane], ivs[lane], N_BITS)
+        expected = ORACLES[cls](keys[lane], ivs[lane], N_BITS)
         for masks in streams:
             assert masks_to_lane(masks, lane) == expected, lane
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
-    cls, key_len, iv_len, ref = CIPHERS[cipher]
-    rng = random.Random(f"shared-{cipher}-{mode.value}")
-    pairs = [(random_bits(rng, key_len), random_bits(rng, iv_len)) for _ in range(2)]
+@EACH_CIPHER
+def test_interleaved_sims_share_programs_but_no_state(cls, mode):
+    rng = random.Random(f"shared-{cls.CIPHER}-{mode.value}")
+    pairs = [(random_bits(rng, len(cls.KEY)), random_bits(rng, len(cls.IV))) for _ in range(2)]
     sims = [cls(key, iv, mode) for key, iv in pairs]
     streams = [[], []]
     # one cycle each in turn, across the init/keystream boundary
@@ -103,7 +104,7 @@ def test_interleaved_sims_share_programs_but_no_state(cipher, mode):
         for sim, stream in zip(sims, streams):
             stream.extend(sim.keystream(n))
     for (key, iv), stream in zip(pairs, streams):
-        assert stream == ref(key, iv, len(stream))
+        assert stream == ORACLES[cls](key, iv, len(stream))
 
     first, second = sims
     assert first._programs is second._programs
@@ -164,11 +165,10 @@ def test_trace_sees_every_pulse_in_program_order():
 
 @pytest.mark.parametrize("width", [1, 64, 1024])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_program_runs_match_interpreted_ops(cipher, mode, width):
-    cls, key_len, iv_len, _ref = CIPHERS[cipher]
-    rng = random.Random(f"runs-{cipher}-{mode.value}-{width}")
-    sim = cls(random_bits(rng, key_len), random_bits(rng, iv_len), mode, width)
+@EACH_CIPHER
+def test_program_runs_match_interpreted_ops(cls, mode, width):
+    rng = random.Random(f"runs-{cls.CIPHER}-{mode.value}-{width}")
+    sim = cls(random_bits(rng, len(cls.KEY)), random_bits(rng, len(cls.IV)), mode, width)
     cache = sim._programs
     programs = set(cache._init) | set(cache._keystream)
     full = (1 << width) - 1
@@ -185,22 +185,21 @@ def test_program_runs_match_interpreted_ops(cipher, mode, width):
 @pytest.mark.parametrize("width", [1, 64, 1024])
 @pytest.mark.parametrize("starts", ["prefix", "boundary"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_runs_match_physical_programs_from_any_row(cipher, mode, starts, width):
+@EACH_CIPHER
+def test_runs_match_physical_programs_from_any_row(cls, mode, starts, width):
     # wider than one lane, a run of cycles goes through the phase's logical
     # program; from a random full row (work, scratch and output cells
     # included), starting at every cycle of the plans' prefix and just past
     # it, or around the init/keystream boundary, it must leave the row, the
     # outputs and the accounts of n runs of each cycle's physical program
-    cls, key_len, iv_len, _ref = CIPHERS[cipher]
-    rng = random.Random(f"run-{cipher}-{mode.value}-{starts}-{width}")
+    rng = random.Random(f"run-{cls.CIPHER}-{mode.value}-{starts}-{width}")
     cache = programs_for(cls, mode)
     full = (1 << width) - 1
     init = cls.INIT_CYCLES
     for start in range(cache.steady_from + 2) if starts == "prefix" else range(init - 3, init + 2):
         keystream = start >= init
         for n in sorted({n if keystream else min(n, init - start) for n in (1, 2, 3, 17, 70)}):
-            sim = cls([0] * key_len, [0] * iv_len, mode, width)
+            sim = _zero_sim(cls, mode, width)
             sim.cycle = start
             sim.cells = [rng.getrandbits(width) for _ in sim.cells]
             expected, expected_out, steps, census = list(sim.cells), [], 0, {}
@@ -221,10 +220,10 @@ def test_runs_match_physical_programs_from_any_row(cipher, mode, starts, width):
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_cache_lookups_reject_cycles_before_1(cipher, mode):
+@EACH_CIPHER
+def test_cache_lookups_reject_cycles_before_1(cls, mode):
     # a cycle 0 or below does not exist, and must not answer as a real one
-    cache = programs_for(CIPHERS[cipher][0], mode)
+    cache = programs_for(cls, mode)
     for t in (0, -5):
         for lookup in (cache.program, lambda t: list(cache.segments(t, 2)), lambda t: cache.cost(t, 2)):
             with pytest.raises(ValueError, match="cycles count from 1"):
@@ -241,17 +240,20 @@ def test_cache_lookups_reject_cycles_before_1(cipher, mode):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(list(CIPHERS)), st.sampled_from(list(Mode)), st.integers(1, 8),
+@given(st.sampled_from(list(ORACLES)), st.sampled_from(list(Mode)), st.integers(1, 8),
        st.integers(0, 40), st.integers(0, 40), st.randoms(use_true_random=False))
-def test_keystream_calls_match_the_oracle_and_the_simulated_form(cipher, mode, width, a, b, rng):
-    cls, _key_len, _iv_len, ref = CIPHERS[cipher]
-    keys, ivs = _lane_keys(rng, cipher, width)
+def test_keystream_calls_match_the_oracle_and_the_simulated_form(cls, mode, width, a, b, rng):
+    keys, ivs = _lane_keys(rng, cls, width)
     sim = cls(lanes_to_masks(keys), lanes_to_masks(ivs), mode, width)
     masks = sim.keystream(a) + sim.keystream(b)
     for lane in range(width):
-        assert masks_to_lane(masks, lane) == ref(keys[lane], ivs[lane], a + b), lane
+        assert masks_to_lane(masks, lane) == ORACLES[cls](keys[lane], ivs[lane], a + b), lane
     report = costs.aggregate(sim)
-    assert (report.total_steps, report.total_energy_uj) == costs.simulated_form(cipher, mode, a + b)
+    # the simulated form is derived for a name in costs.SIMS; a test-only
+    # class is named there only for this call
+    with mock.patch.dict(costs.SIMS, {cls.CIPHER: cls}):
+        form = costs.simulated_form(cls.CIPHER, mode, a + b)
+    assert (report.total_steps, report.total_energy_uj) == form
 
 
 def _four_cell_sim(logic):
@@ -359,12 +361,11 @@ def test_shift_stage_rejects_bad_operands():
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_cache_build_reuses_each_phases_compiled_logic(cipher, mode, monkeypatch):
+@EACH_CIPHER
+def test_cache_build_reuses_each_phases_compiled_logic(cls, mode, monkeypatch):
     # a cache build adds shift stages to the logic compiled at class
     # creation: it appends no gate, runs no _logic, and every program of a
     # phase holds that phase's one runs tuple
-    cls = CIPHERS[cipher][0]
     calls = []
     gate = ProgramBuilder.gate
     monkeypatch.setattr(ProgramBuilder, "gate", lambda *a, **k: calls.append("gate") or gate(*a, **k))
@@ -380,11 +381,10 @@ def test_cache_build_reuses_each_phases_compiled_logic(cipher, mode, monkeypatch
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_cache_stages_take_the_plan_rows_without_a_copy(cipher, mode, monkeypatch):
+@EACH_CIPHER
+def test_cache_stages_take_the_plan_rows_without_a_copy(cls, mode, monkeypatch):
     # every stage's flips is the very row object its register's plan holds
     # for that cycle
-    cls = CIPHERS[cipher][0]
     plans = []
     monkeypatch.setattr(programs, "plan", lambda *a: plans.append(plan(*a)) or plans[-1])
     cache = ProgramCache(cls, mode)
@@ -395,14 +395,13 @@ def test_cache_stages_take_the_plan_rows_without_a_copy(cipher, mode, monkeypatc
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_one_program_cache_per_class_and_mode(cipher, mode):
+@EACH_CIPHER
+def test_one_program_cache_per_class_and_mode(cls, mode):
     # a mode spelled by its value finds the same cache, and so do the sims;
     # junk modes are rejected in tests/test_costs.py
-    cls, key_len, iv_len, _ref = CIPHERS[cipher]
     cache = programs_for(cls, mode)
     assert programs_for(cls, mode.value) is cache
-    assert cls([0] * key_len, [0] * iv_len, mode.value)._programs is cache
+    assert _zero_sim(cls, mode.value)._programs is cache
 
 def test_logic_runs_once_per_phase_at_class_creation():
     calls = []
@@ -420,11 +419,11 @@ def test_logic_runs_once_per_phase_at_class_creation():
 
 
 @pytest.mark.parametrize("width,bad", [(1, 2), (1, 3), (1, -1), (4, 16)])
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_sims_reject_key_iv_entries_outside_the_lane_mask(cipher, width, bad):
+@EACH_CIPHER
+def test_sims_reject_key_iv_entries_outside_the_lane_mask(cls, width, bad):
     # the oracles raise InputError for a non-bit; a sim must not mask the
     # entry down to a valid one and run
-    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+    key_len, iv_len = len(cls.KEY), len(cls.IV)
     with pytest.raises(InputError, match="key and iv entries"):
         cls([bad] + [0] * (key_len - 1), [0] * iv_len, width=width)
     with pytest.raises(InputError, match="key and iv entries"):
@@ -433,11 +432,47 @@ def test_sims_reject_key_iv_entries_outside_the_lane_mask(cipher, width, bad):
 
 
 @pytest.mark.parametrize("width", [0, -1])
-@pytest.mark.parametrize("cipher", list(CIPHERS))
-def test_sims_reject_a_width_below_one(cipher, width):
-    cls, key_len, iv_len, _ref = CIPHERS[cipher]
+@EACH_CIPHER
+def test_sims_reject_a_width_below_one(cls, width):
     with pytest.raises(ValueError, match="width must be >= 1"):
-        cls([0] * key_len, [0] * iv_len, width=width)
+        _zero_sim(cls, width=width)
+
+
+@EACH_CIPHER
+def test_keystream_matches_reference_all_modes(cls, rng):
+    lanes = 8
+    keys, ivs = _lane_keys(rng, cls, lanes)
+    n = 192
+    refs = [ORACLES[cls](keys[w], ivs[w], n) for w in range(lanes)]
+    for mode in (Mode.PROPOSED, Mode.CONVENTIONAL):
+        sim = cls(lanes_to_masks(keys), lanes_to_masks(ivs), mode, width=lanes)
+        masks = sim.keystream(n)
+        for w in range(lanes):
+            assert masks_to_lane(masks, w) == refs[w], (mode, w)
+
+
+@EACH_CIPHER
+def test_mode_invariance_of_bits(cls, rng):
+    (key,), (iv,) = _lane_keys(rng, cls, 1)
+    assert cls(key, iv, Mode.PROPOSED).keystream(64) == cls(key, iv, Mode.CONVENTIONAL).keystream(64)
+
+
+@EACH_CIPHER
+def test_n_zero_returns_empty_after_full_init(cls, rng):
+    (key,), (iv,) = _lane_keys(rng, cls, 1)
+    sim = cls(key, iv, Mode.PROPOSED)
+    assert sim.keystream(0) == []
+    assert sim.cycle == cls.INIT_CYCLES
+
+
+@EACH_CIPHER
+def test_load_rejects_wrong_lengths(cls):
+    key, iv = [0] * len(cls.KEY), [0] * len(cls.IV)
+    for bad_key, bad_iv in ((key[1:], iv), (key, iv[1:]), (key, iv + [0])):
+        with pytest.raises(InputError):
+            cls.load_key_iv(bad_key, bad_iv)
+    with pytest.raises(ValueError):
+        cls(key, iv).keystream(-1)
 
 
 def test_builder_reads_are_the_cells_read_before_any_write():
@@ -468,7 +503,6 @@ class _HashWriter:
 def test_csv_trace_is_pinned(mode, lines, digest):
     # two Grain-128a keystream bits, traced pulse by pulse
     sink = _HashWriter()
-    key = grain_key_bits("000102030405060708090a0b0c0d0e0f", 16, "key")
-    iv = grain_key_bits("000102030405060708090a0b", 12, "iv")
+    key, iv = GrainSim.key_iv_bits("000102030405060708090a0b0c0d0e0f", "000102030405060708090a0b")
     GrainSim(key, iv, mode, trace=CsvTrace(sink)).keystream(2)
     assert (sink.lines, sink.sha.hexdigest()) == (lines, digest)

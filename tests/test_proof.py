@@ -7,7 +7,8 @@ ONE)``, over polynomials in algebraic normal form.  Register cell i starts
 as its logical value ``var(i)`` XOR ``P_t[i]``, the plan's static parity
 before cycle t; work and output cells start as fresh variables, so a result
 that leans on leftover work state fails.  After the cycle every register
-cell must hold the oracle round (``reference``) XOR ``P_{t+1}``, in the
+cell must hold the oracle round (``reference``, or ``ciphers.bivium_round``)
+XOR ``P_{t+1}``, in the
 keystream phase the output cell must hold the keystream bit, and the scratch
 cell must hold NOT the value of the last buffer emitted.  The walk runs
 until the program and the parity repeat, which covers every later cycle.
@@ -18,8 +19,13 @@ parity 0.  So each cache's ``logical`` programs must be those very objects,
 and its parities ``P_t`` must be the ones this walk reaches.
 """
 
+import functools
+import random
+
 import pytest
 
+from ciphers import ORACLES, BiviumSim, bivium_logic, bivium_ref, bivium_round
+from conftest import random_bits
 from implysim import grain_cim, trivium_cim
 from implysim.grain_cim import GrainSim
 from implysim.programs import programs_for
@@ -113,7 +119,14 @@ def _grain_round(keystream: bool):
     return {**dict(zip(nfsr, b)), **dict(zip(lfsr, s))}, y
 
 
-ROUNDS = {TriviumSim: _trivium_round, GrainSim: _grain_round}
+def _bivium_round(keystream: bool):
+    cells = [cell for cells in BiviumSim.REGISTERS.values() for cell in cells]  # s1..s177
+    state, z = bivium_round([var(cell) for cell in cells])
+    return dict(zip(cells, state)), z
+
+
+#: sim class -> its round over symbolic cells, for every class in ``ORACLES``
+ROUNDS = {TriviumSim: _trivium_round, GrainSim: _grain_round, BiviumSim: _bivium_round}
 
 
 def _next_parity(parity: list[int], prog) -> list[int]:
@@ -128,13 +141,14 @@ def _next_parity(parity: list[int], prog) -> list[int]:
     return new
 
 
-@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", [TriviumSim, GrainSim], ids=lambda c: c.CIPHER)
-def test_every_cycle_program_computes_the_cipher_round(cls, mode):
+def _prove(cls, mode, round_of):
+    """Run every distinct cycle program of ``cls`` × ``mode`` over symbolic
+    cells against ``round_of(keystream)``, the expected register cells and
+    output; an AssertionError names the first cycle that differs."""
     programs = programs_for(cls, mode)
     n_cells = cls.OUT + 1  # the output is the row's last cell
     register_cells = {cell for cells in cls.REGISTERS.values() for cell in cells}
-    rounds = {keystream: ROUNDS[cls](keystream) for keystream in (False, True)}
+    rounds = {keystream: round_of(keystream) for keystream in (False, True)}
     assert all(set(expected) == register_cells for expected, _out in rounds.values())
     parity = [0] * n_cells  # the load writes every cell at true polarity
     proven: set = set()
@@ -162,7 +176,31 @@ def test_every_cycle_program_computes_the_cipher_round(cls, mode):
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-@pytest.mark.parametrize("cls", [TriviumSim, GrainSim], ids=lambda c: c.CIPHER)
+@pytest.mark.parametrize("cls", list(ORACLES), ids=lambda c: c.CIPHER)
+def test_every_cycle_program_computes_the_cipher_round(cls, mode):
+    _prove(cls, mode, ROUNDS[cls])
+
+
+# Bivium-B netlists with one fault each: AND2 of A reads A90 for A91, or the
+# keystream phase never writes the output cell
+BIVIUM_MUTANTS = {"and2-reads-a90": {"and_a": (90, 92)}, "no-output-xor": {"output": False}}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("fault", list(BIVIUM_MUTANTS))
+def test_bivium_mutants_fail_the_oracle_and_the_proof(fault, mode):
+    class Mutant(BiviumSim):
+        _logic = staticmethod(functools.partial(bivium_logic, **BIVIUM_MUTANTS[fault]))
+
+    rng = random.Random(fault)
+    key, iv = random_bits(rng, len(BiviumSim.KEY)), random_bits(rng, len(BiviumSim.IV))
+    assert Mutant(key, iv, mode).keystream(64) != bivium_ref(key, iv, 64)
+    with pytest.raises(AssertionError, match=r"^cycle \d+: "):
+        _prove(Mutant, mode, _bivium_round)
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("cls", list(ORACLES), ids=lambda c: c.CIPHER)
 def test_logical_programs_are_the_conventional_ones_and_parity_follows_the_stages(cls, mode):
     programs, conventional = programs_for(cls, mode), programs_for(cls, Mode.CONVENTIONAL)
     # the conventional programs are proven above; both modes share them

@@ -41,10 +41,10 @@ def main(argv=None) -> int:
     iv = [rng.randint(0, 1) for _ in range(len(cls.IV))]
     sim = cls(key, iv, Mode(args.mode))
     ks = sim.keystream(len(bits))
-    stego_img = stego.embed_lsb(cover, stego.StegoPayload(xorcrypt(bits, ks)))
+    stego_img = stego.embed_lsb(cover, stego.StegoPayload(bytes(xorcrypt(bits, ks))))
 
     recovered = xorcrypt(stego.extract_lsb(stego_img).bits, ks)
-    assert recovered == bits, "round trip failed"
+    assert bytes(recovered) == bits, "round trip failed"
 
     stego.write_pgm(cover, outdir / "cover.pgm")
     stego.write_pgm(stego_img, outdir / "stego.pgm")

@@ -51,7 +51,7 @@ def _check_output(*paths: str | None) -> None:
     succeeded, so a failed run leaves an existing file as it was.
     """
     seen = set()
-    for path in filter(None, paths):
+    for path in (p for p in paths if p is not None):  # "" is a path like any other
         target = Path(path)
         if (resolved := target.resolve()) in seen:
             raise InputError(f"two outputs name the same file: {path}")
@@ -67,7 +67,7 @@ def _check_output(*paths: str | None) -> None:
 def _emit_report(sim, fmt: str, out_path: str | None) -> None:
     report = costs.aggregate(sim)
     text = report.to_json() if fmt == "json" else costs.report_table(report)
-    if out_path:
+    if out_path is not None:
         Path(out_path).write_text(text + "\n")
     else:
         print(text)
@@ -77,7 +77,7 @@ def cmd_keystream(args) -> int:
     sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
     _check_output(args.out, args.report_out, args.trace)
     # the trace file is opened only once the key, IV and outputs have passed
-    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace_file:
+    with open(args.trace, "w") if args.trace is not None else contextlib.nullcontext() as trace_file:
         if trace_file:
             sim.trace = CsvTrace(trace_file)
         bits = sim.keystream(args.n)
@@ -85,7 +85,7 @@ def cmd_keystream(args) -> int:
         text = bits_to_bytes_lsb_first(bits).hex()
     else:
         text = "".join(str(b) for b in bits)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
@@ -94,19 +94,21 @@ def cmd_keystream(args) -> int:
     return 0
 
 
-CRYPT_CHUNK = 256  #: message bytes per keystream call: crypt's memory stays flat
+CRYPT_CHUNK = 256  #: message bytes per keystream call: crypt's and stego's memory stays flat
+
+
+def _crypt(sim, data: bytes) -> bytes:
+    """``data`` XOR the keystream after the init phase, ``CRYPT_CHUNK`` bytes at a time."""
+    sim.run_init()  # an empty message still runs and reports the init phase
+    chunks = (bytes_to_bits_msb_first(data[i:i + CRYPT_CHUNK]) for i in range(0, len(data), CRYPT_CHUNK))
+    return b"".join(bits_to_bytes_msb_first(xorcrypt(bits, sim.keystream(len(bits)))) for bits in chunks)
 
 
 def cmd_crypt(args) -> int:
     data = Path(args.infile).read_bytes()
     sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
     _check_output(args.out, args.report_out)
-    sim.run_init()  # an empty message still runs and reports the init phase
-    out = bytearray()
-    for i in range(0, len(data), CRYPT_CHUNK):
-        message = bytes_to_bits_msb_first(data[i:i + CRYPT_CHUNK])
-        out += bits_to_bytes_msb_first(xorcrypt(message, sim.keystream(len(message))))
-    Path(args.out).write_bytes(out)
+    Path(args.out).write_bytes(_crypt(sim, data))
     if args.report:
         _emit_report(sim, args.report, args.report_out)
     return 0
@@ -116,12 +118,10 @@ def cmd_stego(args) -> int:
     if args.action == "embed":
         cover = stego.read_pgm(args.cover)
         data = Path(args.infile).read_bytes()
-        message = bytes_to_bits_msb_first(data)
-        stego.check_capacity(cover, len(message))
+        stego.check_capacity(cover, 8 * len(data))
         sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
         _check_output(args.stego, args.report_out)
-        payload = stego.StegoPayload(xorcrypt(message, sim.keystream(len(message))))
-        image = stego.embed_lsb(cover, payload)
+        image = stego.embed_lsb(cover, stego.StegoPayload.from_bytes(_crypt(sim, data)))
         stego.write_pgm(image, args.stego)
         print(f"PSNR: {stego.psnr(cover, image):.3f} dB")
     else:
@@ -129,9 +129,8 @@ def cmd_stego(args) -> int:
         payload = stego.extract_lsb(image)
         sim = _make_sim(args.cipher, args.key, args.iv, args.mode)
         _check_output(args.out, args.report_out)
-        payload.to_bytes()  # a partial byte fails here, before any keystream cycle runs
-        plain = stego.StegoPayload(xorcrypt(payload.bits, sim.keystream(len(payload.bits))))
-        Path(args.out).write_bytes(plain.to_bytes())
+        # to_bytes rejects a partial byte before _crypt runs any keystream cycle
+        Path(args.out).write_bytes(_crypt(sim, payload.to_bytes()))
     if args.report:
         _emit_report(sim, args.report, args.report_out)
     return 0
@@ -153,7 +152,7 @@ def cmd_plan(args) -> int:
         print(f"{t},{buffers},{inverters}")
     buffers, inverters = count_elements(plan, 1, args.cycles)
     print(f"total,{buffers},{inverters}")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as f:
             write_csv(plan, f, args.cycles)
     return 0
@@ -174,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, n_flag=False):
         p.add_argument("--cipher", choices=list(costs.SIMS), required=True)
         p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.PROPOSED.value)
-        p.add_argument("--key", required=True, help="hex key (trivium: 20 chars, grain128a: 32)")
-        p.add_argument("--iv", required=True, help="hex IV (trivium: 20 chars, grain128a: 24)")
+        for flag, what, cells in (("--key", "key", "KEY"), ("--iv", "IV", "IV")):
+            chars = [f"{name}: {len(getattr(cls, cells)) // 4} chars" for name, cls in costs.SIMS.items()]
+            p.add_argument(flag, required=True, help=f"hex {what} ({', '.join(chars)})")
         if n_flag:
             p.add_argument("-n", type=_count, required=True, help="number of keystream bits")
         p.add_argument("--report", choices=["json", "table"], help="print a cost report")
@@ -220,9 +220,9 @@ def main(argv=None) -> int:
     if args.command == "stego":
         if args.action == "embed" and not (args.cover and args.infile):
             parser.error("stego embed requires --cover and --in")
-        if args.action == "extract" and not args.out:
+        if args.action == "extract" and args.out is None:
             parser.error("stego extract requires --out")
-    if getattr(args, "report_out", None) and not args.report:
+    if getattr(args, "report_out", None) is not None and not args.report:
         parser.error("--report-out requires --report")
     try:
         return args.fn(args)

@@ -70,9 +70,9 @@ def bits_to_bytes_lsb_first(bits: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-def bytes_to_bits_msb_first(data: bytes) -> Bits:
-    """Unpack message bytes MSB-first (the embedding order for payload bytes)."""
-    return [(byte >> (7 - j)) & 1 for byte in data for j in range(8)]
+def bytes_to_bits_msb_first(data: bytes) -> bytes:
+    """Unpack message bytes MSB-first (the payload's embedding order), one 0/1 byte per bit."""
+    return bytes((byte >> (7 - j)) & 1 for byte in data for j in range(8))
 
 
 def bits_to_bytes_msb_first(bits: Sequence[int]) -> bytes:

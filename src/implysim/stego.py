@@ -1,14 +1,15 @@
 """LSB steganography over 8-bit grayscale images, with PSNR and histograms.
 
 Images hold their pixels as ``bytes``, one byte per pixel in row-major
-order.  Interchange format is binary PGM (P5, maxval 255).  Payload bits are
-embedded one per pixel LSB in row-major order from the top-left pixel,
-preceded by a 32-bit big-endian header holding the payload bit count so
-extraction is self-delimiting.
+order.  Interchange format is binary PGM (P5, maxval 255).  Payload bits,
+held as ``bytes`` of one 0/1 byte per bit, are embedded one per pixel LSB in
+row-major order from the top-left pixel, preceded by a 32-bit big-endian
+header holding the payload bit count so extraction is self-delimiting.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import NamedTuple, TextIO, Union
@@ -16,6 +17,7 @@ from typing import NamedTuple, TextIO, Union
 from .reference import bits_to_bytes_msb_first, bytes_to_bits_msb_first
 
 HEADER_BITS = 32
+_LSB = bytes(value & 1 for value in range(256))  # translate table: pixel -> its LSB
 
 
 class CapacityError(ValueError):
@@ -86,7 +88,7 @@ def write_pgm(image: GrayImage, path: Union[str, Path]) -> None:
 
 
 class StegoPayload(NamedTuple):
-    bits: list[int]
+    bits: bytes  # one 0/1 byte per payload bit, in embedding order
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "StegoPayload":
@@ -96,7 +98,7 @@ class StegoPayload(NamedTuple):
     def to_bytes(self) -> bytes:
         if len(self.bits) % 8:
             raise CorruptPayloadError("payload bit count is not a whole number of bytes")
-        return bits_to_bytes_msb_first(self.bits)
+        return bits_to_bytes_msb_first(self.bits)  # packs into one bytearray, no list of ints
 
 
 def capacity_bits(image: GrayImage) -> int:
@@ -116,12 +118,12 @@ def check_capacity(image: GrayImage, n_bits: int) -> None:
 
 def embed_lsb(image: GrayImage, payload: StegoPayload) -> GrayImage:
     bits = payload.bits
-    if any(bit not in (0, 1) for bit in bits):
+    if max(bits, default=0) > 1:
         raise ValueError("payload must be 0/1 bits")
     check_capacity(image, len(bits))
-    stream = [(len(bits) >> (31 - i)) & 1 for i in range(HEADER_BITS)] + list(bits)
     out = bytearray(image.pixels)
-    out[: len(stream)] = bytes((pixel & 0xFE) | bit for pixel, bit in zip(out, stream))
+    lsbs = itertools.chain(StegoPayload.from_bytes(len(bits).to_bytes(HEADER_BITS // 8, "big")).bits, bits)
+    out[: HEADER_BITS + len(bits)] = bytes((pixel & 0xFE) | bit for pixel, bit in zip(out, lsbs))
     return GrayImage(image.width, image.height, bytes(out))
 
 
@@ -129,14 +131,12 @@ def extract_lsb(image: GrayImage) -> StegoPayload:
     pixels = image.pixels
     if len(pixels) < HEADER_BITS:
         raise CorruptPayloadError("image too small to hold a header")
-    count = 0
-    for pixel in pixels[:HEADER_BITS]:
-        count = (count << 1) | (pixel & 1)
+    count = int.from_bytes(StegoPayload(pixels[:HEADER_BITS].translate(_LSB)).to_bytes(), "big")
     if HEADER_BITS + count > len(pixels):
         raise CorruptPayloadError(
             f"header declares {count} bits but image holds at most {capacity_bits(image)}"
         )
-    return StegoPayload([pixel & 1 for pixel in pixels[HEADER_BITS : HEADER_BITS + count]])
+    return StegoPayload(pixels[HEADER_BITS : HEADER_BITS + count].translate(_LSB))
 
 
 def psnr(a: GrayImage, b: GrayImage) -> float:

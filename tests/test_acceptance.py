@@ -378,7 +378,7 @@ def _stego_round_trip(cipher_ref, key, iv, message: bytes, seed: int):
     cover = stego.GrayImage(256, 256, random.Random(seed).randbytes(256 * 256))
     msg_bits = [(byte >> (7 - j)) & 1 for byte in message for j in range(8)]
     ks = cipher_ref(key, iv, len(msg_bits))
-    stego_img = stego.embed_lsb(cover, stego.StegoPayload(xorcrypt(msg_bits, ks)))
+    stego_img = stego.embed_lsb(cover, stego.StegoPayload(bytes(xorcrypt(msg_bits, ks))))
     value = stego.psnr(cover, stego_img)
     extracted = stego.extract_lsb(stego_img)
     recovered = xorcrypt(extracted.bits, ks)

@@ -152,6 +152,18 @@ def test_each_class_parses_hex_of_its_own_key_and_iv_lengths(capsys, cls):
         assert capsys.readouterr() == ("", f"error: {what} must be {n} hex chars, got {n - 1}\n")
 
 
+def test_help_names_every_class_hex_lengths(capsys):
+    # the --key/--iv help is derived from costs.SIMS, so a class added there
+    # is named in --help too
+    with pytest.raises(SystemExit) as exc:
+        main(["keystream", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
+    for name, cls in costs.SIMS.items():
+        assert f"{name}: {len(cls.KEY) // 4} chars" in text.split("hex key (")[1].split(")")[0]
+        assert f"{name}: {len(cls.IV) // 4} chars" in text.split("hex IV (")[1].split(")")[0]
+
+
 def test_missing_iv_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["keystream", "--cipher", "grain128a", "--key", KEY_G, "-n", "1"])
@@ -557,7 +569,7 @@ def _stego_inputs(tmp_path, payload_bits=16):
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"hi")
     stego_path = tmp_path / "stego.pgm"
-    stego.write_pgm(stego.embed_lsb(img, stego.StegoPayload([1, 0] * (payload_bits // 2))), stego_path)
+    stego.write_pgm(stego.embed_lsb(img, stego.StegoPayload(b"\x01\x00" * (payload_bits // 2))), stego_path)
     return cover, msg, stego_path
 
 
@@ -585,6 +597,33 @@ def test_output_in_missing_directory_fails_before_keystream(tmp_path, capsys, mo
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("option", ["keystream --out", "crypt --out", "extract --out", "--report-out",
+                                    "--trace", "--stego"])
+def test_empty_output_path_fails_before_any_cycle(tmp_path, capsys, monkeypatch, option):
+    # "" is a path like any other: it names the working directory, which is
+    # no file to write, so the run fails in the output check
+    cycles = []
+    monkeypatch.setattr(CipherSim, "_run", lambda sim, n, out: cycles.append(n))
+    cover, msg, stego_path = _stego_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    common = ["--cipher", "trivium", "--key", KEY_T, "--iv", IV_T]
+    argv = {
+        "keystream --out": ["keystream", *common, "-n", "8", "--out", ""],
+        "crypt --out": ["crypt", *common, "--in", str(msg), "--out", ""],
+        "extract --out": ["stego", "extract", *common, "--stego", str(stego_path), "--out", ""],
+        "--report-out": ["keystream", *common, "-n", "8", "--report", "json", "--report-out", ""],
+        "--trace": ["keystream", *common, "-n", "8", "--trace", ""],
+        "--stego": ["stego", "embed", *common, "--cover", str(cover), "--in", str(msg), "--stego", ""],
+    }[option]
+    before = sorted(path.name for path in tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .*Is a directory: ''\n", captured.err), captured.err
+    assert cycles == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
 
 
 def test_embed_over_capacity_fails_before_keystream(tmp_path, capsys, monkeypatch):
@@ -669,7 +708,7 @@ def test_crypt_may_read_and_write_one_file(tmp_path):
 # "@" stands for a fresh directory that holds in.bin, cover.pgm and stego.pgm;
 # outputs share the pool so that two of them often name one file
 _PATHS = st.sampled_from(["@/in.bin", "@/cover.pgm", "@/stego.pgm", "@/out.bin", "@/report.txt",
-                          "@/missing/out.bin", "@"])
+                          "@/missing/out.bin", "@", ""])
 _HEX_LENGTHS = {cipher: (len(cls.KEY) // 4, len(cls.IV) // 4) for cipher, cls in costs.SIMS.items()}
 
 

@@ -189,5 +189,7 @@ def test_xorcrypt_edges():
 def test_byte_packing_round_trip():
     data = bytes(range(32))
     assert bits_to_bytes_msb_first(bytes_to_bits_msb_first(data)) == data
+    # one 0/1 byte per bit, MSB first
+    assert bytes_to_bits_msb_first(b"\x80\x01") == b"\x01" + bytes(14) + b"\x01"
     assert bits_to_bytes_lsb_first([1, 0, 0, 0, 0, 0, 0, 0]) == b"\x01"
     assert bits_to_bytes_msb_first([1, 0, 0, 0, 0, 0, 0, 0]) == b"\x80"

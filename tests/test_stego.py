@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,7 +77,7 @@ def test_pgm_rejects_signed_dimensions(tmp_path, dims):
 
 def test_embed_extract_round_trip_random_payload(rng):
     img = fixture_image(2)
-    bits = [rng.randint(0, 1) for _ in range(1024)]
+    bits = bytes(rng.randint(0, 1) for _ in range(1024))
     stego = embed_lsb(img, StegoPayload(bits))
     assert extract_lsb(stego).bits == bits
     # cover untouched
@@ -85,7 +86,7 @@ def test_embed_extract_round_trip_random_payload(rng):
 
 def test_embed_changes_only_lsbs_and_at_most_header_plus_payload(rng):
     img = fixture_image(3)
-    bits = [rng.randint(0, 1) for _ in range(1024)]
+    bits = bytes(rng.randint(0, 1) for _ in range(1024))
     stego = embed_lsb(img, StegoPayload(bits))
     diff = [s - c for s, c in zip(stego.pixels, img.pixels)]
     assert max(abs(d) for d in diff) <= 1
@@ -96,17 +97,17 @@ def test_embed_changes_only_lsbs_and_at_most_header_plus_payload(rng):
 
 def test_embed_empty_and_full_capacity(rng):
     img = fixture_image(4)
-    assert extract_lsb(embed_lsb(img, StegoPayload([]))).bits == []
+    assert extract_lsb(embed_lsb(img, StegoPayload(b""))).bits == b""
     cap = capacity_bits(img)
-    bits = [rng.randint(0, 1) for _ in range(cap)]
+    bits = bytes(rng.randint(0, 1) for _ in range(cap))
     assert extract_lsb(embed_lsb(img, StegoPayload(bits))).bits == bits
     with pytest.raises(CapacityError):
-        embed_lsb(img, StegoPayload(bits + [0]))
+        embed_lsb(img, StegoPayload(bits + b"\x00"))
 
 
 def test_payload_matching_existing_lsbs_leaves_image_identical():
     img = fixture_image(5)
-    bits = [v & 1 for v in img.pixels[HEADER_BITS : HEADER_BITS + 64]]
+    bits = bytes(v & 1 for v in img.pixels[HEADER_BITS : HEADER_BITS + 64])
     header = [(64 >> (31 - i)) & 1 for i in range(32)]
     head = bytes((v & 0xFE) | h for v, h in zip(img.pixels, header))
     base = GrayImage(img.width, img.height, head + img.pixels[32:])
@@ -144,7 +145,7 @@ def test_psnr_lower_bound_for_any_embedding(rng):
     # PSNR >= 10*log10(255^2) = 48.13 dB
     img = fixture_image(6)
     cap = capacity_bits(img)
-    bits = [rng.randint(0, 1) for _ in range(cap)]
+    bits = bytes(rng.randint(0, 1) for _ in range(cap))
     value = psnr(img, embed_lsb(img, StegoPayload(bits)))
     assert value >= 10 * math.log10(255**2) - 1e-9
 
@@ -158,7 +159,7 @@ def test_histogram_properties(rng):
     hu = histogram(uniform)
     assert hu[77] == 1024 and sum(hu) == 1024
 
-    bits = [rng.randint(0, 1) for _ in range(2048)]
+    bits = bytes(rng.randint(0, 1) for _ in range(2048))
     stego = embed_lsb(img, StegoPayload(bits))
     hs = histogram(stego)
     flips = sum(s != c for s, c in zip(stego.pixels, img.pixels))
@@ -180,8 +181,38 @@ def test_payload_bytes_round_trip():
     data = bytes(range(64))
     payload = StegoPayload.from_bytes(data)
     assert payload.to_bytes() == data
-    with pytest.raises(CorruptPayloadError):
-        StegoPayload([1, 0, 1]).to_bytes()
+    assert StegoPayload.from_bytes(b"\x80\x01").bits == b"\x01" + bytes(14) + b"\x01"  # MSB-first
+    with pytest.raises(CorruptPayloadError, match="payload bit count is not a whole number of bytes"):
+        StegoPayload(b"\x01\x00\x01").to_bytes()
+
+
+def test_embed_rejects_bits_other_than_0_and_1():
+    with pytest.raises(ValueError, match="payload must be 0/1 bits"):
+        embed_lsb(fixture_image(9, width=8, height=8), StegoPayload(b"\x01\x02"))
+
+
+def _peak_per_pixel(call, pixels):
+    """``call()``'s heap peak above the heap before it, per cover pixel."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / pixels
+    finally:
+        tracemalloc.stop()
+
+
+def test_embed_and_extract_hold_no_list_of_ints_per_bit():
+    # a 512x512 cover at full capacity (32,764 bytes); a list of ints per
+    # message bit took ~25 B per pixel to embed and ~10 B to extract
+    cover = fixture_image(10, width=512, height=512)
+    data = random.Random(11).randbytes(capacity_bits(cover) // 8)
+    image = embed_lsb(cover, StegoPayload.from_bytes(data))
+    assert extract_lsb(image).to_bytes() == data
+    n = cover.pixel_count
+    assert _peak_per_pixel(lambda: embed_lsb(cover, StegoPayload.from_bytes(data)), n) < 6
+    assert _peak_per_pixel(lambda: extract_lsb(image).to_bytes(), n) < 3
 
 
 @settings(max_examples=25, deadline=None)
